@@ -101,12 +101,15 @@ void Server::Stop() {
   // Workers notice kCancelled at their next RunContext checkpoint.
   server_ctx_.RequestCancel();
 
+  // Each fd is closed only after the threads that poll it are joined:
+  // closed earlier, its number could be reused by a new socket that a
+  // stale poll or recv would then read.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
 
   // Every admitted request still gets an answer.
   if (queue_ != nullptr) {
@@ -127,11 +130,7 @@ void Server::Stop() {
     for (auto& conn : conns_) {
       conn->closing.store(true);
       std::lock_guard<std::mutex> wlock(conn->write_mu);
-      if (conn->fd >= 0) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-        ::close(conn->fd);
-        conn->fd = -1;
-      }
+      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
     }
   }
   ReapConnections(/*all=*/true);
@@ -361,7 +360,9 @@ void Server::ReapConnections(bool all) {
     std::lock_guard<std::mutex> lock(conns_mu_);
     auto it = conns_.begin();
     while (it != conns_.end()) {
-      if (all || (*it)->done.load()) {
+      // A finished reader that left its socket open (the server was
+      // stopping) is Stop()'s to close, after the drain.
+      if (all || ((*it)->done.load() && (*it)->fd < 0)) {
         to_join.push_back(*it);
         it = conns_.erase(it);
       } else {
@@ -371,6 +372,11 @@ void Server::ReapConnections(bool all) {
   }
   for (auto& conn : to_join) {
     if (conn->reader.joinable()) conn->reader.join();
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    if (conn->fd >= 0) {
+      ::close(conn->fd);
+      conn->fd = -1;
+    }
   }
 }
 

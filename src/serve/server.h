@@ -116,7 +116,8 @@ class Server {
   /// Serialised, SIGPIPE-safe line write; marks the connection closing on
   /// failure. Appends the newline itself.
   void WriteLine(Connection& conn, const std::string& line);
-  /// Joins readers whose connections finished; `all` joins everything.
+  /// Joins the readers of connections that finished and closed their
+  /// sockets; `all` joins every reader, then closes what is still open.
   void ReapConnections(bool all);
   void RequestShutdown();
 

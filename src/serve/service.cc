@@ -1,14 +1,15 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <thread>
 
 #include "common/fault_injection.h"
 #include "company/close_link.h"
 #include "company/control.h"
 #include "company/groups.h"
-#include "core/mapping.h"
 #include "datalog/parser.h"
 
 namespace vadalink::serve {
@@ -54,15 +55,6 @@ Status ValidateNode(const SnapshotPtr& snap, int64_t id, const char* what) {
   return Status::OK();
 }
 
-/// True for governor trips that should degrade to a cached result rather
-/// than surface: the fresh answer could not be computed in time, not
-/// because the request was bad.
-bool IsDegradable(StatusCode code) {
-  return code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kResourceExhausted ||
-         code == StatusCode::kCancelled;
-}
-
 }  // namespace
 
 ReasoningService::ReasoningService(ServiceOptions options,
@@ -80,18 +72,17 @@ Status ReasoningService::Init(graph::PropertyGraph graph,
   if (!rules_source.empty()) {
     VL_RETURN_NOT_OK(kg_.AddRules(rules_source));
     has_rules_ = true;
-    rules_source_ = rules_source;
-    // The engine-backed keyed path only engages when the program actually
-    // defines control/2 (a throwaway parse; AddRules already validated
-    // the syntax, so this cannot fail).
+    // The fixpoint route only engages when the program actually defines
+    // control/2 (a throwaway parse; AddRules already validated the
+    // syntax, so this cannot fail).
     datalog::Catalog probe;
-    auto parsed = datalog::ParseProgram(rules_source_, &probe);
-    if (parsed.ok()) {
+    auto parsed = datalog::ParseProgram(rules_source, &probe);
+    if (options_.query_mode && parsed.ok()) {
       for (const datalog::Rule& r : parsed->rules) {
         for (const datalog::Atom& h : r.head) {
           if (probe.predicates.Name(h.predicate) == "control" &&
               h.args.size() == 2) {
-            rules_define_control_ = true;
+            control_fixpoint_ = true;
           }
         }
       }
@@ -109,6 +100,13 @@ Status ReasoningService::PublishLocked() {
   auto cg = company::CompanyGraph::FromPropertyGraph(snap->graph);
   if (!cg.ok()) return cg.status();
   snap->company_graph = std::move(cg).value();
+  if (control_fixpoint_) {
+    for (datalog::RowRef row : kg_.Query("control")) {
+      if (row.size() != 2 || !row[0].is_int() || !row[1].is_int()) continue;
+      snap->control.emplace_back(row[0].AsInt(), row[1].AsInt());
+    }
+    std::sort(snap->control.begin(), snap->control.end());
+  }
   if (!store_.Publish(std::move(snap))) {
     return Status::Internal("snapshot publish out of order");
   }
@@ -180,9 +178,9 @@ std::string ReasoningService::Handle(const Request& req,
 
 std::string ReasoningService::KeyedCacheKey(const std::string& op,
                                             int64_t node, double threshold,
-                                            bool engine_route) {
+                                            bool fixpoint_route) {
   return op + ":" + std::to_string(node) + ":" + FormatThreshold(threshold) +
-         (engine_route ? ":q" : ":c");
+         (fixpoint_route ? ":q" : ":c");
 }
 
 std::string ReasoningService::HandleKeyed(const Request& req,
@@ -209,12 +207,12 @@ std::string ReasoningService::HandleKeyed(const Request& req,
     if (!t.ok()) return RenderError(req.id, t.status());
     threshold = t.value();
   }
-  // The engine route answers with the rules program's own threshold, so an
-  // explicit per-request threshold pins the request to the compiled path.
-  bool engine_route = req.op == "control" && options_.query_mode &&
-                      has_rules_ && rules_define_control_ &&
-                      req.params.Find("threshold") == nullptr;
-  std::string key = KeyedCacheKey(req.op, key_node, threshold, engine_route);
+  // The fixpoint route answers with the rules program's own threshold, so
+  // an explicit per-request threshold pins the request to the compiled
+  // path.
+  bool fixpoint_route = req.op == "control" && control_fixpoint_ &&
+                        req.params.Find("threshold") == nullptr;
+  std::string key = KeyedCacheKey(req.op, key_node, threshold, fixpoint_route);
 
   CacheEntry cached;
   bool hit = cache_ != nullptr && cache_->Get(key, &cached);
@@ -228,7 +226,7 @@ std::string ReasoningService::HandleKeyed(const Request& req,
   // Degradation: when the governor already tripped (deadline burned in
   // the admission queue, budget gone, shutdown cancel), a stale cached
   // answer beats a failure — flagged so the client knows.
-  auto degrade = [&](const Status& trip) -> std::string {
+  if (Status st = CheckRunNow(run_ctx); !st.ok()) {
     if (hit) {
       MetricAdd(metrics_, "serve.cache.stale_served", 1);
       // graph_version always names the *current* snapshot; the stale
@@ -239,26 +237,14 @@ std::string ReasoningService::HandleKeyed(const Request& req,
                           static_cast<int64_t>(cached.version));
     }
     MetricAdd(metrics_, "serve.requests.errors", 1);
-    return RenderError(req.id, trip);
-  };
-  if (Status st = CheckRunNow(run_ctx); !st.ok()) return degrade(st);
-
-  Result<Json> result =
-      req.op == "control"
-          ? (engine_route ? OpControlEngine(req, snap, run_ctx)
-                          : OpControl(req, snap))
-      : req.op == "ubo" ? OpUbo(req, snap)
-                        : OpCloseLinks(req, snap);
-  if (engine_route && !result.ok() &&
-      !IsDegradable(result.status().code())) {
-    // A broken engine route (the rewrite already reports its own fallback
-    // inside Query; this catches engine-level failures) degrades to the
-    // compiled evaluator rather than failing the request.
-    MetricAdd(metrics_, "serve.query.fallbacks", 1);
-    result = OpControl(req, snap);
+    return RenderError(req.id, st);
   }
+
+  Result<Json> result = req.op == "control"
+                            ? OpControl(req, snap, fixpoint_route)
+                        : req.op == "ubo" ? OpUbo(req, snap)
+                                          : OpCloseLinks(req, snap);
   if (!result.ok()) {
-    if (IsDegradable(result.status().code())) return degrade(result.status());
     MetricAdd(metrics_, "serve.requests.errors", 1);
     return RenderError(req.id, result.status());
   }
@@ -269,69 +255,34 @@ std::string ReasoningService::HandleKeyed(const Request& req,
 }
 
 Result<Json> ReasoningService::OpControl(const Request& req,
-                                         const SnapshotPtr& snap) {
+                                         const SnapshotPtr& snap,
+                                         bool fixpoint_route) {
   VL_ASSIGN_OR_RETURN(int64_t source, ReqInt(req.params, "source"));
   VL_ASSIGN_OR_RETURN(double threshold,
                       OptThreshold(req.params, options_.control_threshold));
   VL_RETURN_NOT_OK(ValidateNode(snap, source, "source"));
-  auto controlled = company::ControlledBy(
-      snap->company_graph, static_cast<graph::NodeId>(source), threshold);
   Json ids = Json::MakeArray();
-  for (graph::NodeId n : controlled) ids.Append(Json::Int(n));
-  Json result = Json::MakeObject();
-  result.Set("controlled", std::move(ids));
-  result.Set("count", Json::Int(static_cast<int64_t>(controlled.size())));
-  return result;
-}
-
-Result<Json> ReasoningService::OpControlEngine(const Request& req,
-                                               const SnapshotPtr& snap,
-                                               const RunContext* run_ctx) {
-  VL_ASSIGN_OR_RETURN(int64_t source, ReqInt(req.params, "source"));
-  VL_RETURN_NOT_OK(ValidateNode(snap, source, "source"));
-  // Fresh per-request catalog/database: the resident kg_ interns symbols
-  // on use, so sharing it across workers would race; the snapshot's graph
-  // is immutable and safe to read.
-  datalog::Catalog cat;
-  datalog::Database db(&cat);
-  VL_RETURN_NOT_OK(core::LoadGraphFacts(snap->graph, &db));
-  VL_ASSIGN_OR_RETURN(datalog::Program program,
-                      datalog::ParseProgram(rules_source_, &cat));
-  VL_ASSIGN_OR_RETURN(
-      datalog::QueryGoal goal,
-      datalog::ParseQueryGoal("control(" + std::to_string(source) + ", X)",
-                              &cat));
-  datalog::EngineOptions eopts;
-  eopts.run_ctx = run_ctx;
-  eopts.metrics = metrics_;
-  eopts.max_query_cost = options_.max_query_cost;
-  datalog::Engine engine(&db, eopts);
-  Result<datalog::QueryReport> qr = engine.Query(program, goal);
-  if (!qr.ok()) {
-    // Cost admission rejections carry the static estimate in the message;
-    // count them separately from reactive load shedding. The status stays
-    // kResourceExhausted, which is degradable, so a stale cached answer
-    // (if any) still serves — but the compiled-path fallback never fires
-    // for it (that would burn exactly the work the gate refused).
-    if (qr.status().code() == StatusCode::kResourceExhausted &&
-        qr.status().message().find("cost admission") != std::string::npos) {
-      MetricAdd(metrics_, "serve.requests.cost_shed", 1);
+  if (fixpoint_route) {
+    // The source's row range of the published control table.
+    const auto& table = snap->control;
+    auto it = std::lower_bound(
+        table.begin(), table.end(),
+        std::make_pair(source, std::numeric_limits<int64_t>::min()));
+    for (; it != table.end() && it->first == source; ++it) {
+      ids.Append(Json::Int(it->second));
     }
-    return qr.status();
-  }
-  datalog::QueryReport report = std::move(qr).value();
-  MetricAdd(metrics_, "serve.query.engine", 1);
-  if (!report.rewritten) MetricAdd(metrics_, "serve.query.fallbacks", 1);
-  Json ids = Json::MakeArray();
-  size_t count = 0;
-  for (const auto& tuple : report.answers) {
-    if (tuple.size() != 2 || !tuple[1].is_int()) continue;
-    ids.Append(Json::Int(tuple[1].AsInt()));
-    ++count;
+    MetricAdd(metrics_, "serve.query.engine", 1);
+  } else {
+    for (graph::NodeId n :
+         company::ControlledBy(snap->company_graph,
+                               static_cast<graph::NodeId>(source),
+                               threshold)) {
+      ids.Append(Json::Int(n));
+    }
   }
   Json result = Json::MakeObject();
+  result.Set("count", Json::Int(static_cast<int64_t>(ids.size())));
   result.Set("controlled", std::move(ids));
-  result.Set("count", Json::Int(static_cast<int64_t>(count)));
   return result;
 }
 
@@ -496,6 +447,9 @@ Result<Json> ReasoningService::OpIngest(const Request& req,
   std::lock_guard<std::mutex> lock(write_mu_);
   // Validate edge endpoints against the post-node-append id space before
   // any mutation: a rejected delta leaves the resident graph untouched.
+  // That includes what the publish would reject (a Shareholding edge into
+  // a non-company node): caught there, the delta would already be in the
+  // graph, and every later publish would fail on it.
   size_t base = kg_.graph().node_count();
   size_t limit = base + nodes.size();
   for (const NewEdge& e : edges) {
@@ -504,6 +458,15 @@ Result<Json> ReasoningService::OpIngest(const Request& req,
       return Status::InvalidArgument(
           "edge endpoint out of range (valid ids are 0.." +
           std::to_string(limit - 1) + " including nodes of this delta)");
+    }
+    const auto dst = static_cast<size_t>(e.dst);
+    const std::string& dst_label = dst < base
+                                       ? kg_.graph().node_label(dst)
+                                       : nodes[dst - base].label;
+    if (e.label == "Shareholding" && dst_label != "Company") {
+      return Status::InvalidArgument(
+          "Shareholding edge targets node " + std::to_string(e.dst) +
+          " labelled '" + dst_label + "', not a Company");
     }
   }
 

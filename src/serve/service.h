@@ -10,6 +10,9 @@
 //  * a SnapshotStore of immutable GraphSnapshots — the read side. Every
 //    query evaluates against the snapshot current at its start; a
 //    concurrent ingest publishes the next version without disturbing it.
+//    When the rules program defines control/2, each snapshot carries that
+//    relation from the fixpoint it was published from, and cold `control`
+//    reads at the default threshold are a range lookup in it.
 //  * a ResultCache keyed by (op, canonical params) — the degradation
 //    store. Deadline-busting keyed queries fall back to the cached value
 //    flagged "stale": true instead of failing.
@@ -46,21 +49,14 @@ struct ServiceOptions {
   /// Enables the test-only ops ("sleep") used by the chaos and overload
   /// tests to occupy workers deterministically. Never enabled by the CLI.
   bool enable_test_ops = false;
-  /// Routes cold keyed queries through the engine's goal-directed path
-  /// when the rules program can answer them: `control` misses evaluate
-  /// Engine::Query over the magic-set rewrite of the resident rules
-  /// (requires the program to define control/2 and the request to use the
-  /// default threshold), and `closelinks` misses use the goal-directed
-  /// CloseLinksOf instead of filtering AllCloseLinks. Off = the compiled
-  /// whole-graph evaluators of PR 6.
+  /// Routes cold keyed queries to the rules program and goal-directed
+  /// evaluators: `control` misses at the default threshold read the
+  /// program's control/2 relation from the fixpoint published with the
+  /// snapshot (when the program defines control/2; nothing is chased per
+  /// request), and `closelinks` misses use the goal-directed CloseLinksOf
+  /// instead of filtering AllCloseLinks. Off = the compiled whole-graph
+  /// evaluators for every keyed query.
   bool query_mode = true;
-  /// Cost-aware admission for engine-routed cold queries: > 0 forwards to
-  /// EngineOptions::max_query_cost, so a cold query whose static cost
-  /// estimate exceeds this bound is rejected up-front with
-  /// kResourceExhausted (the estimate named in the error payload) instead
-  /// of burning a worker until the deadline fires. Cached/stale answers
-  /// still serve. 0 = no cost gate.
-  double max_query_cost = 0.0;
 };
 
 class ReasoningService {
@@ -85,21 +81,19 @@ class ReasoningService {
   MetricsRegistry* metrics() { return metrics_; }
   const ServiceOptions& options() const { return options_; }
 
-  /// Result-cache key for a keyed query. `engine_route` is part of the key
-  /// because the evaluation mode changes the answer encoding (engine
-  /// answers are sorted tuples, compiled answers are discovery-ordered), so
-  /// toggling query_mode must never serve a result cached under the other
-  /// mode. Exposed for tests.
+  /// Result-cache key for a keyed query. `fixpoint_route` is part of the
+  /// key because the two `control` routes encode answers differently (the
+  /// rules' fixpoint answers ascending ids, the compiled evaluator in
+  /// discovery order), so a default-threshold read and the same read with
+  /// an explicit threshold never share an entry. Exposed for tests.
   static std::string KeyedCacheKey(const std::string& op, int64_t node,
-                                   double threshold, bool engine_route);
+                                   double threshold, bool fixpoint_route);
 
  private:
-  Result<Json> OpControl(const Request& req, const SnapshotPtr& snap);
-  /// Goal-directed control: Engine::Query with goal control(source, X)
-  /// over the resident rules program and the snapshot's facts. Exact same
-  /// answer set as OpControl (sorted, not discovery-ordered).
-  Result<Json> OpControlEngine(const Request& req, const SnapshotPtr& snap,
-                               const RunContext* run_ctx);
+  /// `fixpoint_route` answers from the snapshot's control table, otherwise
+  /// the compiled ControlledBy runs at the request's threshold.
+  Result<Json> OpControl(const Request& req, const SnapshotPtr& snap,
+                         bool fixpoint_route);
   Result<Json> OpUbo(const Request& req, const SnapshotPtr& snap);
   Result<Json> OpCloseLinks(const Request& req, const SnapshotPtr& snap);
   Result<Json> OpIngest(const Request& req, const RunContext* run_ctx);
@@ -111,8 +105,9 @@ class ReasoningService {
   /// fallback on a tripped governor.
   std::string HandleKeyed(const Request& req, const RunContext* run_ctx);
 
-  /// Rebuilds + publishes the next snapshot from the resident graph.
-  /// Caller holds write_mu_.
+  /// Rebuilds + publishes the next snapshot from the resident graph and,
+  /// with control_fixpoint_, the resident fixpoint's control relation.
+  /// Caller holds write_mu_ and has just established that fixpoint.
   Status PublishLocked();
 
   ServiceOptions options_;
@@ -121,8 +116,9 @@ class ReasoningService {
   std::mutex write_mu_;              // serialises ingest/reason/query(db)
   core::KnowledgeGraph kg_;          // resident write-side state
   bool has_rules_ = false;
-  std::string rules_source_;         // verbatim program for per-request parses
-  bool rules_define_control_ = false;  // program has a control/2 rule head
+  // query_mode and the program has a control/2 rule head: snapshots carry
+  // the control table and default-threshold control reads use it.
+  bool control_fixpoint_ = false;
   uint64_t next_version_ = 1;        // version the next publish gets
   SnapshotStore store_;
   std::unique_ptr<ResultCache> cache_;

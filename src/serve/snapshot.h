@@ -3,11 +3,13 @@
 // The server's write path (ingest + incremental reasoning) mutates one
 // resident KnowledgeGraph under a writer mutex; after each successful
 // mutation it publishes an immutable GraphSnapshot — a deep copy of the
-// property graph plus the prebuilt CompanyGraph the keyed query
-// algorithms run on. Readers grab the current shared_ptr (one mutex-
-// protected pointer copy), then compute entirely against that frozen
-// version: a concurrent ingest can never mutate data under a running
-// query, and a request's "graph_version" names exactly the state it saw.
+// property graph, the prebuilt CompanyGraph the keyed query algorithms
+// run on, and (when the rules program defines control/2) the control
+// relation of the fixpoint just established. Readers grab the current
+// shared_ptr (one mutex-protected pointer copy), then compute entirely
+// against that frozen version: a concurrent ingest can never mutate data
+// under a running query, and a request's "graph_version" names exactly
+// the state it saw.
 //
 // Versions are assigned by the single writer and published in order, so
 // the version visible through current() is monotonically non-decreasing —
@@ -17,6 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
+#include <vector>
 
 #include "company/company_graph.h"
 #include "graph/property_graph.h"
@@ -28,6 +32,10 @@ struct GraphSnapshot {
   uint64_t version = 0;
   graph::PropertyGraph graph;           // frozen deep copy
   company::CompanyGraph company_graph;  // prebuilt typed view over `graph`
+  /// The rules program's control/2 relation at the fixpoint this version
+  /// was published from, as (source, controlled) pairs sorted ascending;
+  /// empty when serve does not answer `control` from the rules.
+  std::vector<std::pair<int64_t, int64_t>> control;
 };
 
 using SnapshotPtr = std::shared_ptr<const GraphSnapshot>;

@@ -19,6 +19,7 @@
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
+#include "core/vadalog_programs.h"
 #include "graph/property_graph.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -45,7 +46,12 @@ graph::PropertyGraph SeedGraph() {
   return g;
 }
 
-constexpr const char* kRules = "own(X, Y, W) -> control_direct(X, Y, W).";
+// control/2 puts `control` reads on the fixpoint route, so its table is
+// republished by every ingest (and every recovery) under the storm.
+std::string Rules() {
+  return "own(X, Y, W) -> control_direct(X, Y, W).\n" +
+         core::ControlProgram(0.5);
+}
 
 // One client's slice of the storm. Returns the number of transport-level
 // failures (lost responses) — the chaos invariant demands zero.
@@ -57,8 +63,9 @@ int RunClient(int client_idx, int port, std::atomic<int>* responses,
   int lost = 0;
   int64_t last_version = 0;
   for (int i = 0; i < kRequestsPerClient; ++i) {
+    const int kind = (client_idx + i) % 6;
     Result<Json> resp = [&]() -> Result<Json> {
-      switch ((client_idx + i) % 6) {
+      switch (kind) {
         case 0: {
           Json p = Json::MakeObject();
           p.Set("source", Json::Int(0));
@@ -131,6 +138,13 @@ int RunClient(int client_idx, int port, std::atomic<int>* responses,
       EXPECT_GE(version->AsInt(), last_version) << resp->Dump();
       last_version = std::max(last_version, version->AsInt());
     }
+    // Ingests add companies without holdings, so P0 controls C1 and C2
+    // at every version.
+    if (kind == 0) {
+      EXPECT_EQ(resp->Find("result")->Dump(),
+                R"({"controlled":[1,2],"count":2})")
+          << resp->Dump();
+    }
   }
   return lost;
 }
@@ -146,7 +160,7 @@ TEST(ServeChaosTest, MixedWorkloadUnderArmedFaultsLosesNothing) {
   server_opts.queue_depth = 16;
   server_opts.request_deadline_ms = 5000;
   Server server(service_opts, server_opts, &metrics);
-  ASSERT_TRUE(server.Init(SeedGraph(), kRules).ok());
+  ASSERT_TRUE(server.Init(SeedGraph(), Rules()).ok());
   ASSERT_TRUE(server.Start().ok());
 
   // Probabilistic faults on the request path. serve.read and

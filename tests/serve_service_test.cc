@@ -9,7 +9,11 @@
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/run_context.h"
+#include "core/mapping.h"
 #include "core/vadalog_programs.h"
+#include "datalog/magic.h"
+#include "datalog/parser.h"
+#include "gen/register_simulator.h"
 #include "graph/property_graph.h"
 #include "serve/service.h"
 
@@ -196,6 +200,52 @@ TEST_F(ServiceTest, InvalidIngestLeavesStateUntouched) {
       ParseLine(service_->Handle(MakeReq("ingest", delta2, 2), nullptr));
   ASSERT_FALSE(resp2.Find("ok")->AsBool());
   EXPECT_EQ(service_->version(), 1u);
+
+  // A Shareholding edge into a non-company node — an existing person (3)
+  // or a person of the same delta (4) — is rejected before any mutation;
+  // applied, it would fail every later publish.
+  for (int64_t dst : {3, 4}) {
+    Json delta3 = Json::MakeObject();
+    Json nodes3 = Json::MakeArray();
+    Json n3 = Json::MakeObject();
+    n3.Set("label", Json::Str("Person"));
+    nodes3.Append(n3);
+    delta3.Set("nodes", nodes3);
+    Json edges3 = Json::MakeArray();
+    Json e3 = Json::MakeObject();
+    e3.Set("src", Json::Int(0));
+    e3.Set("dst", Json::Int(dst));
+    e3.Set("w", Json::Double(0.4));
+    edges3.Append(e3);
+    delta3.Set("edges", edges3);
+    Json resp3 =
+        ParseLine(service_->Handle(MakeReq("ingest", delta3, 3), nullptr));
+    ASSERT_FALSE(resp3.Find("ok")->AsBool()) << "dst " << dst;
+    EXPECT_EQ(resp3.Find("error")->Find("code")->AsString(),
+              "InvalidArgument");
+    EXPECT_EQ(service_->version(), 1u);
+  }
+
+  // Nothing of the rejected deltas was applied: a valid ingest publishes
+  // version 2 and its node gets the next id, 4.
+  Json valid = Json::MakeObject();
+  Json vnodes = Json::MakeArray();
+  Json vn = Json::MakeObject();
+  vn.Set("label", Json::Str("Company"));
+  vnodes.Append(vn);
+  valid.Set("nodes", vnodes);
+  Json vedges = Json::MakeArray();
+  Json ve = Json::MakeObject();
+  ve.Set("src", Json::Int(3));
+  ve.Set("dst", Json::Int(4));
+  ve.Set("w", Json::Double(0.4));
+  vedges.Append(ve);
+  valid.Set("edges", vedges);
+  Json ok = ParseLine(service_->Handle(MakeReq("ingest", valid, 4), nullptr));
+  ASSERT_TRUE(ok.Find("ok")->AsBool()) << ok.Dump();
+  EXPECT_EQ(ok.Find("result")->Find("graph_version")->AsInt(), 2);
+  EXPECT_EQ(ok.Find("result")->Find("node_ids")->Dump(), "[4]");
+  EXPECT_EQ(service_->version(), 2u);
 }
 
 TEST_F(ServiceTest, UnknownNodeIsNotFound) {
@@ -353,45 +403,6 @@ TEST_F(ServiceTest, ExplicitThresholdPinsControlToCompiledPath) {
   EXPECT_EQ(metrics_.CounterValue("serve.query.engine"), engine_before);
 }
 
-TEST_F(ServiceTest, OverBudgetColdEngineQueryIsCostShed) {
-  // --max-query-cost: a cold engine-routed query whose static cost
-  // estimate exceeds the budget is rejected up front with
-  // ResourceExhausted naming the estimate — the compiled fallback must
-  // NOT fire (it would burn exactly the work the gate refused).
-  ServiceOptions opts;  // query_mode defaults to true
-  opts.max_query_cost = 1e-9;
-  ReasoningService svc(opts, &metrics_);
-  ASSERT_TRUE(svc.Init(TinyRegister(), core::ControlProgram(0.5)).ok());
-  uint64_t fallbacks_before = metrics_.CounterValue("serve.query.fallbacks");
-  Json params = Json::MakeObject();
-  params.Set("source", Json::Int(0));
-  Json resp = ParseLine(svc.Handle(MakeReq("control", params), nullptr));
-  ASSERT_FALSE(resp.Find("ok")->AsBool()) << resp.Dump();
-  EXPECT_EQ(resp.Find("error")->Find("code")->AsString(),
-            "ResourceExhausted");
-  const std::string msg = resp.Find("error")->Find("message")->AsString();
-  EXPECT_NE(msg.find("cost admission"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("static cost estimate"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("max query cost"), std::string::npos) << msg;
-  EXPECT_GE(metrics_.CounterValue("serve.requests.cost_shed"), 1u);
-  EXPECT_EQ(metrics_.CounterValue("serve.query.fallbacks"),
-            fallbacks_before);
-}
-
-TEST_F(ServiceTest, UnderBudgetTrafficUnaffectedByCostGate) {
-  ServiceOptions opts;
-  opts.max_query_cost = 1e18;  // generous: nothing sheds
-  ReasoningService svc(opts, &metrics_);
-  ASSERT_TRUE(svc.Init(TinyRegister(), core::ControlProgram(0.5)).ok());
-  Json params = Json::MakeObject();
-  params.Set("source", Json::Int(0));
-  Json resp = ParseLine(svc.Handle(MakeReq("control", params), nullptr));
-  ASSERT_TRUE(resp.Find("ok")->AsBool()) << resp.Dump();
-  EXPECT_EQ(resp.Find("result")->Find("count")->AsInt(), 2);
-  EXPECT_GE(metrics_.CounterValue("serve.query.engine"), 1u);
-  EXPECT_EQ(metrics_.CounterValue("serve.requests.cost_shed"), 0u);
-}
-
 TEST_F(ServiceTest, QueryModeServesCloseLinksIdentically) {
   std::vector<std::string> dumps;
   for (bool query_mode : {true, false}) {
@@ -406,6 +417,190 @@ TEST_F(ServiceTest, QueryModeServesCloseLinksIdentically) {
     dumps.push_back(resp.Find("result")->Dump());
   }
   EXPECT_EQ(dumps[0], dumps[1]);  // byte-identical responses
+}
+
+// ---- the fixpoint route against a fresh goal-directed query ----------------
+
+/// The computation cold default-threshold `control` reads used to run per
+/// request: the graph's facts loaded into a fresh database, then
+/// Engine::Query(control(source, X)) over the rules. The control program
+/// reads only company/1, person/1 and voting/3, so the generic encoding
+/// is left out (it is most of the load time).
+std::vector<int64_t> QueryControlled(const graph::PropertyGraph& g,
+                                     const std::string& rules,
+                                     int64_t source) {
+  datalog::Catalog cat;
+  datalog::Database db(&cat);
+  core::MappingOptions mapping;
+  mapping.generic_encoding = false;
+  EXPECT_TRUE(core::LoadGraphFacts(g, &db, mapping).ok());
+  auto program = datalog::ParseProgram(rules, &cat);
+  auto goal = datalog::ParseQueryGoal(
+      "control(" + std::to_string(source) + ", X)", &cat);
+  EXPECT_TRUE(program.ok() && goal.ok());
+  datalog::Engine engine(&db, {});
+  auto report = engine.Query(*program, *goal);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  std::vector<int64_t> ids;
+  if (!report.ok()) return ids;
+  for (const auto& tuple : report->answers) {
+    if (tuple.size() == 2 && tuple[1].is_int()) ids.push_back(tuple[1].AsInt());
+  }
+  return ids;
+}
+
+/// One ingest edge as protocol JSON.
+Json EdgeJson(int64_t src, int64_t dst, double w) {
+  Json e = Json::MakeObject();
+  e.Set("src", Json::Int(src));
+  e.Set("dst", Json::Int(dst));
+  e.Set("w", Json::Double(w));
+  return e;
+}
+
+class FixpointServiceTest : public ServiceTest {
+ protected:
+  /// Every node's default-threshold `control` response must equal the
+  /// fresh query over `mirror_` (the service's graph, rebuilt from the
+  /// same deltas): ids, their order and the count.
+  void ExpectEveryNodeMatches(const std::string& when) {
+    for (size_t n = 0; n < mirror_.node_count(); ++n) {
+      Json params = Json::MakeObject();
+      params.Set("source", Json::Int(static_cast<int64_t>(n)));
+      Json resp =
+          ParseLine(service_->Handle(MakeReq("control", params), nullptr));
+      ASSERT_TRUE(resp.Find("ok")->AsBool()) << resp.Dump();
+      ASSERT_EQ(resp.Find("cached"), nullptr) << when;
+      std::vector<int64_t> got;
+      for (const Json& v : resp.Find("result")->Find("controlled")->AsArray()) {
+        got.push_back(v.AsInt());
+      }
+      std::vector<int64_t> want =
+          QueryControlled(mirror_, rules_, static_cast<int64_t>(n));
+      ASSERT_EQ(got, want) << when << ": source " << n;
+      ASSERT_EQ(resp.Find("result")->Find("count")->AsInt(),
+                static_cast<int64_t>(want.size()))
+          << when << ": source " << n;
+    }
+  }
+
+  /// Sends `delta` and applies the same nodes and Shareholding edges to
+  /// the mirror; returns the ingest's result object.
+  Json Ingest(const Json& delta) {
+    Json resp = ParseLine(service_->Handle(MakeReq("ingest", delta), nullptr));
+    EXPECT_TRUE(resp.Find("ok")->AsBool()) << resp.Dump();
+    if (const Json* nodes = delta.Find("nodes")) {
+      for (const Json& n : nodes->AsArray()) {
+        mirror_.AddNode(n.Find("label")->AsString());
+      }
+    }
+    if (const Json* edges = delta.Find("edges")) {
+      for (const Json& e : edges->AsArray()) {
+        auto id = mirror_.AddEdge(
+            static_cast<graph::NodeId>(e.Find("src")->AsInt()),
+            static_cast<graph::NodeId>(e.Find("dst")->AsInt()),
+            "Shareholding");
+        EXPECT_TRUE(id.ok());
+        if (id.ok()) mirror_.SetEdgeProperty(*id, "w", e.Find("w")->AsDouble());
+      }
+    }
+    const Json* result = resp.Find("result");
+    return result != nullptr ? *result : Json::Null();
+  }
+
+  graph::PropertyGraph mirror_;
+  std::string rules_ = core::ControlProgram(0.5);
+};
+
+TEST_F(FixpointServiceTest, ControlReadsEqualFreshGoalQueryAcrossIngests) {
+  gen::RegisterConfig rc;
+  rc.persons = 240;
+  rc.companies = 180;
+  rc.seed = 5;
+  gen::RegisterData data = gen::GenerateRegister(rc);
+  mirror_ = data.graph;
+  service_ = std::make_unique<ReasoningService>(ServiceOptions{}, &metrics_);
+  ASSERT_TRUE(service_->Init(data.graph, rules_).ok());
+  ExpectEveryNodeMatches("after Init");
+  EXPECT_EQ(metrics_.CounterValue("serve.query.engine"), mirror_.node_count());
+
+  // A new company node, bought outright by an existing person.
+  const auto person = static_cast<int64_t>(data.persons.front());
+  const auto new_company = static_cast<int64_t>(mirror_.node_count());
+  {
+    Json delta = Json::MakeObject();
+    Json nodes = Json::MakeArray();
+    Json node = Json::MakeObject();
+    node.Set("label", Json::Str("Company"));
+    nodes.Append(node);
+    delta.Set("nodes", nodes);
+    Json edges = Json::MakeArray();
+    edges.Append(EdgeJson(person, new_company, 0.9));
+    delta.Set("edges", edges);
+    Ingest(delta);
+    ExpectEveryNodeMatches("after a new company node");
+  }
+
+  // An edge that flips control: a person who controls nothing takes 0.6
+  // of a company.
+  int64_t buyer = -1;
+  for (graph::NodeId p : data.persons) {
+    if (QueryControlled(mirror_, rules_, p).empty()) {
+      buyer = static_cast<int64_t>(p);
+      break;
+    }
+  }
+  ASSERT_GE(buyer, 0);
+  const auto target = static_cast<int64_t>(data.companies.front());
+  {
+    Json delta = Json::MakeObject();
+    Json edges = Json::MakeArray();
+    edges.Append(EdgeJson(buyer, target, 0.6));
+    delta.Set("edges", edges);
+    Ingest(delta);
+    std::vector<int64_t> now = QueryControlled(mirror_, rules_, buyer);
+    EXPECT_TRUE(std::find(now.begin(), now.end(), target) != now.end());
+    ExpectEveryNodeMatches("after an edge that flips control");
+  }
+
+  // A parallel holding: a second edge alongside an existing one.
+  {
+    graph::EdgeId existing = graph::kInvalidEdge;
+    mirror_.ForEachEdge([&](graph::EdgeId e) {
+      if (existing == graph::kInvalidEdge &&
+          mirror_.edge_label(e) == "Shareholding" &&
+          mirror_.GetEdgeProperty(e, "w").AsNumber() < 0.5) {
+        existing = e;
+      }
+    });
+    ASSERT_NE(existing, graph::kInvalidEdge);
+    Json delta = Json::MakeObject();
+    Json edges = Json::MakeArray();
+    edges.Append(EdgeJson(static_cast<int64_t>(mirror_.edge_src(existing)),
+                          static_cast<int64_t>(mirror_.edge_dst(existing)),
+                          0.3));
+    delta.Set("edges", edges);
+    Ingest(delta);
+    ExpectEveryNodeMatches("after a parallel holding");
+  }
+
+  // A fault-injected ingest: the incremental chase dies and the service
+  // re-establishes the fixpoint with a full Reason before publishing.
+  {
+    FaultInjection::Arm("kg.reason_incremental",
+                        {StatusCode::kIoError, "chase died", /*skip=*/0,
+                         /*max_fires=*/1});
+    Json delta = Json::MakeObject();
+    Json edges = Json::MakeArray();
+    edges.Append(EdgeJson(person, target, 0.55));
+    delta.Set("edges", edges);
+    Json result = Ingest(delta);
+    FaultInjection::Reset();
+    ASSERT_NE(result.Find("recovered"), nullptr) << result.Dump();
+    EXPECT_TRUE(result.Find("recovered")->AsBool());
+    EXPECT_EQ(service_->version(), 5u);
+    ExpectEveryNodeMatches("after a recovered ingest");
+  }
 }
 
 }  // namespace

@@ -529,7 +529,6 @@ int CmdServe(const Flags& flags) {
   service_opts.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
   service_opts.query_mode = flags.GetInt("query-mode", 1) != 0;
-  service_opts.max_query_cost = flags.GetDouble("max-query-cost", 0.0);
   serve::ServerOptions server_opts;
   server_opts.host = flags.Get("host", "127.0.0.1");
   server_opts.port = static_cast<int>(flags.GetInt("port", 7411));
@@ -590,7 +589,7 @@ commands:
   serve       --in BASE [--program FILE.vada] [--host H] [--port P]
               [--max-inflight N] [--queue-depth N] [--request-deadline-ms MS]
               [--cache-entries N] [--idle-timeout-ms MS] [--metrics-json FILE]
-              [--query-mode 0|1] [--max-query-cost C]
+              [--query-mode 0|1]
 
 BASE refers to the CSV pair BASE_nodes.csv / BASE_edges.csv.
 
@@ -629,12 +628,11 @@ queue sheds with ResourceExhausted + retry_after_ms),
 --request-deadline-ms the default/maximum per-request deadline
 (deadline-busting hot queries degrade to the cached answer flagged
 "stale": true), --cache-entries the result cache (0 disables).
---query-mode 1 (default) evaluates cold keyed queries goal-directedly
-(magic-set engine queries for 'control' when the program defines it,
-goal-directed close links); 0 keeps the whole-graph evaluators.
---max-query-cost C rejects engine-routed cold queries whose static cost
-estimate exceeds C with ResourceExhausted naming the estimate, before
-any evaluation starts (0 = no cost gate; cached answers still serve).
+--query-mode 1 (default) answers cold 'control' reads without an explicit
+threshold from the program's control/2 relation, as of the fixpoint
+published with the current graph version (when --program defines it;
+nothing is chased per request), and cold 'closelinks' reads
+goal-directedly; 0 keeps the compiled whole-graph evaluators.
 
 'reason' with --query 'goal(args)' (a parenthesised atom, constants
 binding arguments) runs the goal-directed query path instead of a full
@@ -708,8 +706,7 @@ int main(int argc, char** argv) {
   if (cmd == "serve") {
     return accept({"in", "program", "host", "port", "max-inflight",
                    "queue-depth", "request-deadline-ms", "cache-entries",
-                   "idle-timeout-ms", "metrics-json", "query-mode",
-                   "max-query-cost"})
+                   "idle-timeout-ms", "metrics-json", "query-mode"})
                ? CmdServe(flags)
                : 1;
   }
