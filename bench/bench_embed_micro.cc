@@ -7,6 +7,7 @@
 #include "embed/node2vec.h"
 #include "embed/skipgram.h"
 #include "gen/barabasi_albert.h"
+#include "gen/register_simulator.h"
 
 using namespace vadalink;
 using namespace vadalink::embed;
@@ -38,6 +39,24 @@ void BM_WalkGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkGeneration)->Arg(1000)->Arg(5000);
 
+// Trains on `walks` once per iteration; positions/s (walk positions trained,
+// all epochs) is the kernel's throughput independent of graph size.
+void TrainAndCount(benchmark::State& state,
+                   const std::vector<std::vector<uint32_t>>& walks,
+                   size_t node_count, const SkipGramConfig& sc) {
+  size_t per_call = 0;
+  for (const auto& w : walks) per_call += w.size();
+  per_call *= sc.epochs;
+  size_t positions = 0;
+  for (auto _ : state) {
+    auto emb = TrainSkipGram(walks, node_count, sc);
+    benchmark::DoNotOptimize(emb.row(0)[0]);
+    positions += per_call;
+  }
+  state.counters["positions/s"] = benchmark::Counter(
+      static_cast<double>(positions), benchmark::Counter::kIsRate);
+}
+
 void BM_SkipGramTraining(benchmark::State& state) {
   auto g = MakeGraph(state.range(0), 4);
   WalkGraph wg(g, "w");
@@ -48,12 +67,21 @@ void BM_SkipGramTraining(benchmark::State& state) {
   SkipGramConfig sc;
   sc.dimensions = 64;
   sc.epochs = 1;
-  for (auto _ : state) {
-    auto emb = TrainSkipGram(walks, g.node_count(), sc);
-    benchmark::DoNotOptimize(emb.row(0)[0]);
-  }
+  TrainAndCount(state, walks, g.node_count(), sc);
 }
 BENCHMARK(BM_SkipGramTraining)->Arg(1000)->Arg(5000);
+
+// What one Augment round trains on: a 500-person / 375-company register
+// with the CLI-default walk and skip-gram settings.
+void BM_SkipGramTrainingRegister(benchmark::State& state) {
+  gen::RegisterConfig rc;
+  rc.persons = 500;
+  rc.companies = 375;
+  auto g = gen::GenerateRegister(rc).graph;
+  auto walks = GenerateWalks(WalkGraph(g, "w"), WalkConfig{});
+  TrainAndCount(state, walks, g.node_count(), SkipGramConfig{});
+}
+BENCHMARK(BM_SkipGramTrainingRegister)->Unit(benchmark::kMillisecond);
 
 void BM_KMeansClustering(benchmark::State& state) {
   auto g = MakeGraph(2000, 4);

@@ -34,6 +34,9 @@ Status PipelineOptions::Validate() const {
   if (ec.skipgram.epochs == 0) {
     return Status::InvalidArgument("embedding.skipgram.epochs must be >= 1");
   }
+  if (ec.skipgram.window == 0) {
+    return Status::InvalidArgument("embedding.skipgram.window must be >= 1");
+  }
   if (ec.kmeans.k == 0) {
     return Status::InvalidArgument("embedding.kmeans.k must be >= 1");
   }

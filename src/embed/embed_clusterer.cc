@@ -9,6 +9,10 @@ Result<std::vector<uint32_t>> EmbedClusterer::Cluster(
     return Status::InvalidArgument(
         "EmbedClusterConfig.skipgram.dimensions must be positive");
   }
+  if (config_.skipgram.window == 0) {
+    return Status::InvalidArgument(
+        "EmbedClusterConfig.skipgram.window must be positive");
+  }
   if (config_.walk.walk_length == 0) {
     return Status::InvalidArgument(
         "EmbedClusterConfig.walk.walk_length must be positive");

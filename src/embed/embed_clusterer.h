@@ -32,18 +32,19 @@ class EmbedClusterer {
 
   /// Embeds the graph and clusters the nodes. Returns one cluster id per
   /// node, or kInvalidArgument when the configuration is unusable (zero
-  /// embedding dimensions or walk length). Recomputed from scratch at each
-  /// call (the recursive self-improving loop of Algorithm 1 calls this
-  /// once per round, with the newly predicted edges present in `g`). An
-  /// optional RunContext bounds the walk / training / clustering stages;
-  /// when it trips mid-pipeline the call still succeeds with a full-length
-  /// (possibly degenerate) assignment and last_interrupted() reports the
-  /// truncation so callers can fall back (VadaLink degrades to
-  /// feature-blocking-only for the round). An optional multi-thread `pool`
-  /// parallelizes walks, skip-gram training and k-means (see the stage
-  /// headers for each stage's determinism contract). `metrics` (nullable)
-  /// flows into every stage and wraps them in walks / skipgram / kmeans
-  /// spans nested under the caller's current span.
+  /// embedding dimensions, skip-gram window or walk length). Recomputed
+  /// from scratch at each call (the recursive self-improving loop of
+  /// Algorithm 1 calls this once per round, with the newly predicted edges
+  /// present in `g`). An optional RunContext bounds the walk / training /
+  /// clustering stages; when it trips mid-pipeline the call still succeeds
+  /// with a full-length (possibly degenerate) assignment and
+  /// last_interrupted() reports the truncation so callers can fall back
+  /// (VadaLink degrades to feature-blocking-only for the round). An
+  /// optional multi-thread `pool` parallelizes walks, skip-gram training
+  /// and k-means (see the stage headers for each stage's determinism
+  /// contract). `metrics` (nullable) flows into every stage and wraps them
+  /// in walks / skipgram / kmeans spans nested under the caller's current
+  /// span.
   Result<std::vector<uint32_t>> Cluster(const graph::PropertyGraph& g,
                                         const RunContext* run_ctx = nullptr,
                                         ThreadPool* pool = nullptr,

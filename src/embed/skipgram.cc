@@ -1,7 +1,9 @@
 #include "embed/skipgram.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 
 #include "embed/alias_sampler.h"
 
@@ -62,8 +64,124 @@ inline void StoreF(float* p, float v) {
   }
 }
 
+// Four floats in one SSE register (GCC/Clang vector extension). Its
+// arithmetic is element-wise, so every lane rounds exactly like the scalar
+// float expression it stands for.
+typedef float Float4 __attribute__((vector_size(16)));
+
+template <bool kAtomic>
+inline Float4 Load4(float* p) {
+  if constexpr (kAtomic) {
+    return Float4{LoadF<true>(p), LoadF<true>(p + 1), LoadF<true>(p + 2),
+                  LoadF<true>(p + 3)};
+  } else {
+    Float4 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+}
+
+template <bool kAtomic>
+inline void Store4(float* p, Float4 v) {
+  if constexpr (kAtomic) {
+    for (int k = 0; k < 4; ++k) StoreF<true>(p + k, v[k]);
+  } else {
+    std::memcpy(p, &v, sizeof v);
+  }
+}
+
+/// Widest run trained in one pass (1 + the default 5 negatives fit). A
+/// longer run of distinct targets is split, which changes no result: none
+/// of its updates touches a row another of its targets reads.
+constexpr size_t kMaxRun = 8;
+
+/// SGNS step for a run of N pairwise-distinct targets of one (center,
+/// context) pair; `rows` are their context vectors. The pair's first run
+/// starts with its positive target (label 1), every other target is a
+/// negative (label 0). No update in a run touches a row another target of
+/// it reads, and v_in only changes after the pair, so all N dot products
+/// are taken first, in one pass over d. Each keeps its own double
+/// accumulator summed in ascending d, as in one-target-at-a-time training;
+/// N is a template argument so the unrolled accumulators stay in
+/// registers. The updates then go 4 floats at a time, per element in
+/// target order. The pair's gradient for v_in starts at zero in the first
+/// run, is carried between runs in `grad`, and the last run adds it to
+/// v_in.
+template <bool kAtomic, size_t N>
+void TrainRun(float* v_in, float* const* rows, bool first, bool last,
+              size_t dims, double lr, float* grad) {
+  double dot[N] = {};
+  for (size_t d = 0; d < dims; ++d) {
+    const float x = LoadF<kAtomic>(v_in + d);
+#pragma GCC unroll 8
+    for (size_t k = 0; k < N; ++k) {
+      dot[k] += x * LoadF<kAtomic>(rows[k] + d);
+    }
+  }
+  float g[N] = {};
+#pragma GCC unroll 8
+  for (size_t k = 0; k < N; ++k) {
+    const double label = first && k == 0 ? 1.0 : 0.0;
+    g[k] = static_cast<float>((label - Sigmoid(dot[k])) * lr);
+  }
+  size_t d = 0;
+  for (; d + 4 <= dims; d += 4) {
+    const Float4 vi = Load4<kAtomic>(v_in + d);
+    Float4 gr = first ? Float4{} : Load4<false>(grad + d);
+#pragma GCC unroll 8
+    for (size_t k = 0; k < N; ++k) {
+      const Float4 vo = Load4<kAtomic>(rows[k] + d);
+      gr += g[k] * vo;
+      Store4<kAtomic>(rows[k] + d, vo + g[k] * vi);
+    }
+    if (last) {
+      Store4<kAtomic>(v_in + d, vi + gr);
+    } else {
+      Store4<false>(grad + d, gr);
+    }
+  }
+  for (; d < dims; ++d) {
+    const float vi = LoadF<kAtomic>(v_in + d);
+    float gr = first ? 0.0f : grad[d];
+    for (size_t k = 0; k < N; ++k) {
+      const float vo = LoadF<kAtomic>(rows[k] + d);
+      gr += g[k] * vo;
+      StoreF<kAtomic>(rows[k] + d, vo + g[k] * vi);
+    }
+    if (last) {
+      StoreF<kAtomic>(v_in + d, vi + gr);
+    } else {
+      grad[d] = gr;
+    }
+  }
+}
+
+/// TrainRun for a run of n targets, 1 <= n <= kMaxRun.
+template <bool kAtomic>
+void TrainRunOf(size_t n, float* v_in, float* const* rows, bool first,
+                bool last, size_t dims, double lr, float* grad) {
+  switch (n) {
+    case 1:
+      return TrainRun<kAtomic, 1>(v_in, rows, first, last, dims, lr, grad);
+    case 2:
+      return TrainRun<kAtomic, 2>(v_in, rows, first, last, dims, lr, grad);
+    case 3:
+      return TrainRun<kAtomic, 3>(v_in, rows, first, last, dims, lr, grad);
+    case 4:
+      return TrainRun<kAtomic, 4>(v_in, rows, first, last, dims, lr, grad);
+    case 5:
+      return TrainRun<kAtomic, 5>(v_in, rows, first, last, dims, lr, grad);
+    case 6:
+      return TrainRun<kAtomic, 6>(v_in, rows, first, last, dims, lr, grad);
+    case 7:
+      return TrainRun<kAtomic, 7>(v_in, rows, first, last, dims, lr, grad);
+    default:
+      return TrainRun<kAtomic, 8>(v_in, rows, first, last, dims, lr, grad);
+  }
+}
+
 /// SGNS updates for every position of one walk. `step` is the global lr
-/// position counter: shared and advanced sequentially in the legacy path,
+/// position counter: shared by all walks in the sequential path,
 /// precomputed per walk (epoch * positions + positions_before[walk]) in
 /// the hogwild path so both paths follow the same schedule.
 template <bool kAtomic>
@@ -71,6 +189,8 @@ void TrainOneWalk(const std::vector<uint32_t>& walk, float* in_data,
                   float* out_data, size_t dims, const SkipGramConfig& config,
                   const AliasSampler& negative_table, Rng& rng,
                   std::vector<float>& grad, size_t& step, size_t total_steps) {
+  std::vector<uint32_t> targets;
+  targets.reserve(1 + config.negatives);
   for (size_t i = 0; i < walk.size(); ++i) {
     double progress = static_cast<double>(step++) / total_steps;
     double lr = config.initial_lr * (1.0 - progress);
@@ -86,35 +206,27 @@ void TrainOneWalk(const std::vector<uint32_t>& walk, float* in_data,
     for (size_t j = lo; j < hi; ++j) {
       if (j == i) continue;
       uint32_t context = walk[j];
-      std::fill(grad.begin(), grad.end(), 0.0f);
-
-      // One positive + k negative updates on the context matrix.
-      for (size_t s = 0; s <= config.negatives; ++s) {
-        uint32_t target;
-        double label;
-        if (s == 0) {
-          target = context;
-          label = 1.0;
-        } else {
-          target = static_cast<uint32_t>(negative_table.Sample(&rng));
-          if (target == context) continue;
-          label = 0.0;
-        }
-        float* v_out = out_data + static_cast<size_t>(target) * dims;
-        double dot = 0.0;
-        for (size_t d = 0; d < dims; ++d) {
-          dot += LoadF<kAtomic>(v_in + d) * LoadF<kAtomic>(v_out + d);
-        }
-        double g = (label - Sigmoid(dot)) * lr;
-        for (size_t d = 0; d < dims; ++d) {
-          float vo = LoadF<kAtomic>(v_out + d);
-          grad[d] += static_cast<float>(g) * vo;
-          StoreF<kAtomic>(v_out + d,
-                          vo + static_cast<float>(g) * LoadF<kAtomic>(v_in + d));
-        }
+      // One positive + k negative targets on the context matrix; a
+      // negative drawn equal to the context is skipped.
+      targets.assign(1, context);
+      for (size_t s = 0; s < config.negatives; ++s) {
+        uint32_t target = static_cast<uint32_t>(negative_table.Sample(&rng));
+        if (target != context) targets.push_back(target);
       }
-      for (size_t d = 0; d < dims; ++d) {
-        StoreF<kAtomic>(v_in + d, LoadF<kAtomic>(v_in + d) + grad[d]);
+      // Runs of distinct targets: a repeated id starts a new run, so its
+      // dot product sees the earlier update to its row.
+      for (size_t begin = 0; begin < targets.size();) {
+        float* rows[kMaxRun] = {};
+        size_t n = 0;
+        for (; n < kMaxRun && begin + n < targets.size(); ++n) {
+          const auto run = targets.begin() + begin;
+          if (std::find(run, run + n, run[n]) != run + n) break;
+          rows[n] = out_data + static_cast<size_t>(run[n]) * dims;
+        }
+        TrainRunOf<kAtomic>(n, v_in, rows, begin == 0,
+                            begin + n == targets.size(), dims, lr,
+                            grad.data());
+        begin += n;
       }
     }
   }

@@ -16,6 +16,8 @@ namespace vadalink::embed {
 
 struct SkipGramConfig {
   size_t dimensions = 64;
+  /// Largest context distance; each position draws its window uniformly
+  /// from [1, window]. Must be >= 1.
   size_t window = 5;
   size_t negatives = 5;       // negative samples per positive pair
   size_t epochs = 2;
@@ -51,17 +53,26 @@ class EmbeddingMatrix {
 };
 
 /// Trains SGNS embeddings over walks covering node ids [0, node_count).
-/// An optional RunContext is polled once per walk per epoch; when it
-/// trips, training stops cooperatively and the partially trained (still
-/// usable) embeddings are returned.
+/// Precondition: config.window >= 1 (0 would divide by zero drawing the
+/// dynamic window; PipelineOptions::Validate and EmbedClusterer::Cluster
+/// reject it). An optional RunContext is polled once per walk per epoch;
+/// when it trips, training stops cooperatively and the partially trained
+/// (still usable) embeddings are returned.
+///
+/// Each (center, context) pair trains as one batch: its targets (the
+/// context, then the negatives in draw order) are drawn first, their dot
+/// products are taken together for each run of distinct targets, and the
+/// row updates go 4 floats at a time. Without a multi-thread `pool`,
+/// training is sequential and byte-identical to one-target-at-a-time
+/// SGNS: every dot product is still summed in ascending dimension order in
+/// its own double, and the updates are element-wise.
 ///
 /// With a multi-thread `pool`, epochs train hogwild-style (Niu et al.
 /// 2011): walk chunks update the shared matrices concurrently through
 /// relaxed atomics, each chunk sampling from its own ChunkSeed-derived
 /// RNG and stepping the lr schedule from its walk's sequential position.
 /// Lossy concurrent updates make the parallel result run-to-run
-/// nondeterministic (SGNS quality is tolerant to this); pool == nullptr
-/// keeps the legacy sequential path byte-identical.
+/// nondeterministic (SGNS quality is tolerant to this).
 ///
 /// `metrics` (nullable) receives embed.skipgram.epochs (completed
 /// epochs) and embed.skipgram.positions (walk positions trained by

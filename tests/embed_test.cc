@@ -2,14 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "embed/alias_sampler.h"
 #include "embed/embed_clusterer.h"
 #include "embed/kmeans.h"
 #include "embed/node2vec.h"
 #include "embed/skipgram.h"
+#include "gen/register_simulator.h"
 
 namespace vadalink::embed {
 namespace {
@@ -174,6 +178,28 @@ graph::PropertyGraph TwoCliques(size_t k) {
   return g;
 }
 
+// Average cosine similarity of node pairs within a TwoCliques(k) clique
+// (first) and across the two cliques (second).
+std::pair<double, double> CliqueCosines(const EmbeddingMatrix& emb,
+                                        size_t k) {
+  double intra = 0, inter = 0;
+  size_t ni = 0, nx = 0;
+  for (size_t a = 0; a < 2 * k; ++a) {
+    for (size_t b = a + 1; b < 2 * k; ++b) {
+      bool same = (a < k) == (b < k);
+      double c = emb.Cosine(a, b);
+      if (same) {
+        intra += c;
+        ++ni;
+      } else {
+        inter += c;
+        ++nx;
+      }
+    }
+  }
+  return {intra / ni, inter / nx};
+}
+
 TEST(SkipGramTest, CommunityStructureInEmbedding) {
   const size_t k = 6;
   auto g = TwoCliques(k);
@@ -190,23 +216,7 @@ TEST(SkipGramTest, CommunityStructureInEmbedding) {
   auto emb = TrainSkipGram(walks, g.node_count(), sc);
 
   // Average intra-clique cosine similarity should exceed inter-clique.
-  double intra = 0, inter = 0;
-  size_t ni = 0, nx = 0;
-  for (size_t a = 0; a < 2 * k; ++a) {
-    for (size_t b = a + 1; b < 2 * k; ++b) {
-      bool same = (a < k) == (b < k);
-      double c = emb.Cosine(a, b);
-      if (same) {
-        intra += c;
-        ++ni;
-      } else {
-        inter += c;
-        ++nx;
-      }
-    }
-  }
-  intra /= ni;
-  inter /= nx;
+  auto [intra, inter] = CliqueCosines(emb, k);
   EXPECT_GT(intra, inter + 0.1);
 }
 
@@ -223,6 +233,174 @@ TEST(SkipGramTest, ShapesAndDeterminism) {
   for (size_t d = 0; d < 8; ++d) {
     EXPECT_FLOAT_EQ(a.row(2)[d], b.row(2)[d]);
   }
+}
+
+// The one-target-at-a-time scalar trainer that TrainSkipGram's sequential
+// path ran before its per-pair batch kernel, copied verbatim (RNG order
+// included): threads = 1 training must match it byte for byte.
+double ReferenceSigmoid(double x) {
+  if (x > 8.0) return 1.0;
+  if (x < -8.0) return 0.0;
+  return 1.0 / (1.0 + std::exp(-x));
+}
+
+void ReferenceTrainOneWalk(const std::vector<uint32_t>& walk, float* in_data,
+                           float* out_data, size_t dims,
+                           const SkipGramConfig& config,
+                           const AliasSampler& negative_table, Rng& rng,
+                           std::vector<float>& grad, size_t& step,
+                           size_t total_steps) {
+  for (size_t i = 0; i < walk.size(); ++i) {
+    double progress = static_cast<double>(step++) / total_steps;
+    double lr = config.initial_lr * (1.0 - progress);
+    if (lr < config.min_lr) lr = config.min_lr;
+
+    size_t reduced = 1 + rng.UniformU64(config.window);
+    size_t lo = i >= reduced ? i - reduced : 0;
+    size_t hi = std::min(walk.size(), i + reduced + 1);
+    uint32_t center = walk[i];
+    float* v_in = in_data + static_cast<size_t>(center) * dims;
+
+    for (size_t j = lo; j < hi; ++j) {
+      if (j == i) continue;
+      uint32_t context = walk[j];
+      std::fill(grad.begin(), grad.end(), 0.0f);
+
+      for (size_t s = 0; s <= config.negatives; ++s) {
+        uint32_t target;
+        double label;
+        if (s == 0) {
+          target = context;
+          label = 1.0;
+        } else {
+          target = static_cast<uint32_t>(negative_table.Sample(&rng));
+          if (target == context) continue;
+          label = 0.0;
+        }
+        float* v_out = out_data + static_cast<size_t>(target) * dims;
+        double dot = 0.0;
+        for (size_t d = 0; d < dims; ++d) {
+          dot += v_in[d] * v_out[d];
+        }
+        double g = (label - ReferenceSigmoid(dot)) * lr;
+        for (size_t d = 0; d < dims; ++d) {
+          float vo = v_out[d];
+          grad[d] += static_cast<float>(g) * vo;
+          v_out[d] = vo + static_cast<float>(g) * v_in[d];
+        }
+      }
+      for (size_t d = 0; d < dims; ++d) {
+        v_in[d] = v_in[d] + grad[d];
+      }
+    }
+  }
+}
+
+EmbeddingMatrix ReferenceTrainSkipGram(
+    const std::vector<std::vector<uint32_t>>& walks, size_t node_count,
+    const SkipGramConfig& config) {
+  const size_t dims = config.dimensions;
+  EmbeddingMatrix in(node_count, dims);
+  std::vector<float> out(node_count * dims, 0.0f);
+
+  Rng rng(config.seed);
+  for (size_t v = 0; v < node_count; ++v) {
+    float* r = in.row(v);
+    for (size_t d = 0; d < dims; ++d) {
+      r[d] = static_cast<float>((rng.UniformDouble() - 0.5) / dims);
+    }
+  }
+
+  std::vector<double> freq(node_count, 0.0);
+  size_t total_positions = 0;
+  for (const auto& walk : walks) {
+    for (uint32_t v : walk) {
+      freq[v] += 1.0;
+      ++total_positions;
+    }
+  }
+  for (double& f : freq) f = std::pow(f, config.unigram_power);
+  AliasSampler negative_table(freq);
+  if (negative_table.empty() || total_positions == 0) return in;
+
+  const size_t total_steps = config.epochs * total_positions;
+  size_t step = 0;
+  std::vector<float> grad(dims);
+  for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    for (const auto& walk : walks) {
+      ReferenceTrainOneWalk(walk, in.row(0), out.data(), dims, config,
+                            negative_table, rng, grad, step, total_steps);
+    }
+  }
+  return in;
+}
+
+TEST(SkipGramTest, ThreadsOneMatchesScalarReferenceByteForByte) {
+  // PathGraph(5): five nodes, so repeated negatives and negatives equal to
+  // the context are common. The register: a realistic id spread.
+  auto path = PathGraph(5);
+  gen::RegisterConfig rc;
+  rc.persons = 200;
+  rc.companies = 150;
+  rc.seed = 11;
+  auto reg = gen::GenerateRegister(rc).graph;
+  WalkConfig reg_walks;
+  reg_walks.walks_per_node = 2;
+  struct Case {
+    const char* name;
+    const graph::PropertyGraph* g;
+    WalkConfig walk;
+  };
+  for (const Case& c : {Case{"path5", &path, WalkConfig{}},
+                        Case{"register200", &reg, reg_walks}}) {
+    auto walks = GenerateWalks(WalkGraph(*c.g, "w"), c.walk);
+    for (size_t dims : {64, 7, 1}) {
+      for (size_t negatives : {0, 5, 9}) {
+        for (size_t window : {1, 5}) {
+          SCOPED_TRACE(std::string(c.name) + " dims=" + std::to_string(dims) +
+                       " negatives=" + std::to_string(negatives) +
+                       " window=" + std::to_string(window));
+          SkipGramConfig sc;
+          sc.dimensions = dims;
+          sc.negatives = negatives;
+          sc.window = window;
+          auto got = TrainSkipGram(walks, c.g->node_count(), sc);
+          auto want = ReferenceTrainSkipGram(walks, c.g->node_count(), sc);
+          ASSERT_EQ(got.node_count(), want.node_count());
+          ASSERT_EQ(got.dimensions(), want.dimensions());
+          EXPECT_EQ(std::memcmp(got.row(0), want.row(0),
+                                got.node_count() * dims * sizeof(float)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelSkipGramTest, HogwildTrainingKeepsCommunityStructure) {
+  // Four threads, an odd width (7, not a multiple of the vector width) and
+  // 9 negatives over 12 nodes, so concurrent chunks update shared rows.
+  const size_t k = 6;
+  auto g = TwoCliques(k);
+  WalkConfig wc;
+  wc.walk_length = 12;
+  wc.walks_per_node = 20;
+  wc.seed = 3;
+  auto walks = GenerateWalks(WalkGraph(g, "w"), wc);
+  SkipGramConfig sc;
+  sc.dimensions = 7;
+  sc.negatives = 9;
+  sc.epochs = 3;
+  sc.seed = 3;
+  ThreadPool pool(4);
+  auto emb = TrainSkipGram(walks, g.node_count(), sc, nullptr, &pool);
+  ASSERT_EQ(emb.node_count(), 2 * k);
+  ASSERT_EQ(emb.dimensions(), 7u);
+  for (size_t v = 0; v < 2 * k; ++v) {
+    for (size_t d = 0; d < 7; ++d) EXPECT_TRUE(std::isfinite(emb.row(v)[d]));
+  }
+  auto [intra, inter] = CliqueCosines(emb, k);
+  EXPECT_GT(intra, inter + 0.1);
 }
 
 TEST(EmbeddingMatrixTest, CosineAndDistance) {
@@ -355,6 +533,18 @@ TEST(EmbedClustererTest, AssignsEveryNode) {
   ASSERT_EQ(assignment.size(), g.node_count());
   for (uint32_t c : assignment) EXPECT_LT(c, 2u);
   EXPECT_EQ(clusterer.last_embedding().node_count(), g.node_count());
+}
+
+TEST(EmbedClustererTest, ZeroWindowIsInvalidArgument) {
+  gen::RegisterConfig rc;
+  rc.persons = 30;
+  rc.companies = 20;
+  auto g = gen::GenerateRegister(rc).graph;
+  EmbedClusterConfig cfg;
+  cfg.skipgram.window = 0;
+  EmbedClusterer clusterer(cfg);
+  auto assignment = clusterer.Cluster(g);
+  EXPECT_EQ(assignment.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

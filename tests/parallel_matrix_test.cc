@@ -91,6 +91,11 @@ TEST(ParallelPipelineOptionsTest, ValidateIsTheSingleRejectionPoint) {
   opts.augment.embedding.walk.walk_length = 0;
   EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument);
 
+  // A zero window would reach Rng::UniformU64(0), a division by zero.
+  opts = core::PipelineOptions{};
+  opts.augment.embedding.skipgram.window = 0;
+  EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument);
+
   opts = core::PipelineOptions{};
   opts.augment.max_rounds = 0;
   EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument);
