@@ -36,7 +36,7 @@ int RunGraphWorkload(const graph::PropertyGraph& g, datalog::Catalog* catalog,
                      std::vector<std::string>* fingerprint) {
   datalog::Database db(catalog);
   if (auto st = core::LoadGraphFacts(g, &db); !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "error: %s\n", st.status().ToString().c_str());
     return 1;
   }
   datalog::EngineOptions opts;
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
     datalog::Catalog catalog;
     datalog::Database db(&catalog);
     if (auto st = core::LoadGraphFacts(g, &db); !st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+      std::fprintf(stderr, "error: %s\n", st.status().ToString().c_str());
       return 1;
     }
     auto program = datalog::ParseProgram(core::ControlProgram(), &catalog);
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     datalog::Catalog catalog;
     datalog::Database db(&catalog);
     if (auto st = core::LoadGraphFacts(g, &db); !st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+      std::fprintf(stderr, "error: %s\n", st.status().ToString().c_str());
       return 1;
     }
     auto program =

@@ -102,9 +102,9 @@ int RunChase(const Workload& w, const graph::PropertyGraph& g, bool streaming,
   datalog::Catalog catalog;
   datalog::Database db(&catalog);
   core::MappingOptions map_opts;
-  map_opts.generic_encoding = false;  // minimal EDB: company/person/own/voting
+  map_opts.predicates = core::DomainPredicates();  // minimal EDB
   if (auto st = core::LoadGraphFacts(g, &db, map_opts); !st.ok()) {
-    std::fprintf(stderr, "load: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "load: %s\n", st.status().ToString().c_str());
     return 1;
   }
   auto program = datalog::ParseProgram(w.rules, &catalog);

@@ -75,7 +75,7 @@ int RunSaturation(const Workload& w, const graph::PropertyGraph& g,
   datalog::Catalog catalog;
   datalog::Database db(&catalog);
   if (auto st = core::LoadGraphFacts(g, &db); !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "error: %s\n", st.status().ToString().c_str());
     return 1;
   }
   auto program = datalog::ParseProgram(w.rules, &catalog);
@@ -142,7 +142,7 @@ int RunQuery(const Workload& w, const graph::PropertyGraph& g, size_t threads,
   datalog::Catalog catalog;
   datalog::Database db(&catalog);
   if (auto st = core::LoadGraphFacts(g, &db); !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "error: %s\n", st.status().ToString().c_str());
     return 1;
   }
   auto program = datalog::ParseProgram(w.rules, &catalog);

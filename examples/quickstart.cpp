@@ -109,7 +109,7 @@ int main() {
   datalog::Catalog catalog;
   datalog::Database db(&catalog);
   if (auto st = core::LoadGraphFacts(g, &db); !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "error: %s\n", st.status().ToString().c_str());
     return 1;
   }
   auto program = datalog::ParseProgram(core::ControlProgram(), &catalog);

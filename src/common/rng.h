@@ -29,13 +29,25 @@ class Rng {
 
   /// Uniform in [0, n). Precondition: n > 0.
   uint64_t UniformU64(uint64_t n) {
-    assert(n > 0);
+    return UniformU64(n, RejectionThreshold(n));
+  }
+
+  /// UniformU64(n) with n's rejection threshold computed by the caller:
+  /// hot loops that draw from one fixed range compute it once. Same
+  /// stream, same values.
+  uint64_t UniformU64(uint64_t n, uint64_t threshold) {
     // Rejection sampling to avoid modulo bias.
-    uint64_t threshold = (0ULL - n) % n;
     for (;;) {
       uint64_t r = Next();
       if (r >= threshold) return r % n;
     }
+  }
+
+  /// Raw draws below this are rejected by UniformU64(n). Precondition:
+  /// n > 0.
+  static uint64_t RejectionThreshold(uint64_t n) {
+    assert(n > 0);
+    return (0ULL - n) % n;
   }
 
   /// Uniform integer in [lo, hi] inclusive.

@@ -1,7 +1,6 @@
 #include "core/knowledge_graph.h"
 
 #include "common/fault_injection.h"
-#include "core/mapping.h"
 #include "datalog/parser.h"
 
 namespace vadalink::core {
@@ -20,6 +19,7 @@ Status KnowledgeGraph::AddRules(std::string_view vadalog_source) {
   for (uint32_t out : program.outputs) {
     combined_.outputs.push_back(out);
   }
+  used_ = MappedPredicatesUsedBy(combined_, catalog_);
   return Status::OK();
 }
 
@@ -41,7 +41,11 @@ Result<ReasonStats> KnowledgeGraph::Reason(const RunContext* run_ctx,
   ScopedSpan reason_span(metrics, "reason", run_ctx);
 
   db_ = std::make_unique<datalog::Database>(&catalog_);
-  VL_RETURN_NOT_OK(LoadGraphFacts(graph_, db_.get()));
+  // Nothing extracted yet: every predicate the rules mention is loaded
+  // over the whole graph.
+  extracted_.clear();
+  stored_links_ = {};
+  VL_RETURN_NOT_OK(ExtractFacts(run_ctx, metrics));
   stats.facts_before = db_->TotalFacts();
 
   VL_RETURN_NOT_OK(parallel_.Validate());
@@ -61,9 +65,7 @@ Result<ReasonStats> KnowledgeGraph::Reason(const RunContext* run_ctx,
   stats.engine = engine_->stats();
   stats.facts_after = db_->TotalFacts();
 
-  VL_ASSIGN_OR_RETURN(stats.links_materialised,
-                      StorePredictedLinks(*db_, &graph_));
-  MetricAdd(metrics, "reason.links.materialised", stats.links_materialised);
+  VL_ASSIGN_OR_RETURN(stats.links_materialised, StoreLinks(run_ctx, metrics));
   return stats;
 }
 
@@ -77,18 +79,51 @@ Result<ReasonStats> KnowledgeGraph::ReasonIncremental(
   ReasonStats stats;
   ScopedSpan reason_span(metrics, "reason_incremental", run_ctx);
   stats.facts_before = db_->TotalFacts();
-  // Re-extracting the whole graph is idempotent: Database::Insert dedupes,
-  // so exactly the facts of new nodes/edges land in the delta window.
-  VL_RETURN_NOT_OK(LoadGraphFacts(graph_, db_.get()));
+  // The facts of appended nodes/edges land in the delta window.
+  VL_RETURN_NOT_OK(ExtractFacts(run_ctx, metrics));
   engine_->set_run_ctx(run_ctx);
   engine_->set_metrics(metrics);
   VL_RETURN_NOT_OK(engine_->RunIncremental(combined_));
   stats.engine = engine_->stats();
   stats.facts_after = db_->TotalFacts();
-  VL_ASSIGN_OR_RETURN(stats.links_materialised,
-                      StorePredictedLinks(*db_, &graph_));
-  MetricAdd(metrics, "reason.links.materialised", stats.links_materialised);
+  VL_ASSIGN_OR_RETURN(stats.links_materialised, StoreLinks(run_ctx, metrics));
   return stats;
+}
+
+Status KnowledgeGraph::ExtractFacts(const RunContext* run_ctx,
+                                    MetricsRegistry* metrics) {
+  ScopedSpan span(metrics, "extract", run_ctx);
+  // A predicate extracted before needs only what was appended since; one
+  // the rules mention since needs the whole graph.
+  MappingOptions appended;
+  appended.predicates.clear();
+  appended.first_node = extracted_nodes_;
+  appended.first_edge = extracted_edges_;
+  MappingOptions whole;
+  whole.predicates.clear();
+  for (const std::string& p : used_) {
+    (extracted_.count(p) != 0 ? appended : whole).predicates.insert(p);
+  }
+  const auto nodes = static_cast<graph::NodeId>(graph_.node_count());
+  const auto edges = static_cast<graph::EdgeId>(graph_.edge_slots());
+  VL_ASSIGN_OR_RETURN(size_t offered,
+                      LoadGraphFacts(graph_, db_.get(), appended));
+  VL_ASSIGN_OR_RETURN(size_t offered_whole,
+                      LoadGraphFacts(graph_, db_.get(), whole));
+  extracted_ = used_;
+  extracted_nodes_ = nodes;
+  extracted_edges_ = edges;
+  MetricAdd(metrics, "reason.facts.extracted", offered + offered_whole);
+  return Status::OK();
+}
+
+Result<size_t> KnowledgeGraph::StoreLinks(const RunContext* run_ctx,
+                                          MetricsRegistry* metrics) {
+  ScopedSpan span(metrics, "store_links", run_ctx);
+  VL_ASSIGN_OR_RETURN(size_t added,
+                      StorePredictedLinks(*db_, &graph_, &stored_links_));
+  MetricAdd(metrics, "reason.links.materialised", added);
+  return added;
 }
 
 datalog::RelationScan KnowledgeGraph::Query(

@@ -21,6 +21,7 @@
 #include "common/parallel.h"
 #include "common/run_context.h"
 #include "common/status.h"
+#include "core/mapping.h"
 #include "datalog/engine.h"
 #include "datalog/warded.h"
 #include "graph/property_graph.h"
@@ -28,6 +29,9 @@
 namespace vadalink::core {
 
 struct ReasonStats {
+  /// Fact-base size before and after the chase. Only the mapped
+  /// predicates the rules mention are loaded, so both count those facts
+  /// (plus, after an incremental run, every fact of the earlier runs).
   size_t facts_before = 0;
   size_t facts_after = 0;
   size_t links_materialised = 0;
@@ -38,13 +42,16 @@ class KnowledgeGraph {
  public:
   KnowledgeGraph();
 
-  /// The extensional component. Mutations are picked up by the next
-  /// Reason() call (facts are re-extracted from the graph each run).
+  /// The extensional component. Reason() extracts it whole; nodes and
+  /// edges appended after that are picked up by ReasonIncremental() too,
+  /// while property edits and RemoveEdge on earlier ones need Reason().
   graph::PropertyGraph* mutable_graph() { return &graph_; }
   const graph::PropertyGraph& graph() const { return graph_; }
 
   /// Appends a rule program to the intensional component. Parsed eagerly;
-  /// returns ParseError (with line info) on bad syntax.
+  /// returns ParseError (with line info) on bad syntax. The mapped
+  /// predicates the combined rules mention (MappedPredicatesUsedBy) are
+  /// the only ones a run extracts from the graph.
   Status AddRules(std::string_view vadalog_source);
 
   /// Number of rules across all added programs.
@@ -68,24 +75,33 @@ class KnowledgeGraph {
 
   /// Runs all programs to fixpoint against the current graph and
   /// materialises derived control/closelink/partnerof/parentof/siblingof
-  /// facts as typed edges. Each call starts from a fresh fact base.
+  /// facts as typed edges. Each call starts from a fresh fact base,
+  /// extracts the whole graph into it and moves the extraction watermark
+  /// (node count, edge slots) to the graph's end, before the new links
+  /// are stored, so the next incremental run extracts those links.
   /// `run_ctx` (nullptr = unlimited) bounds the chase: on a deadline /
   /// budget / cancellation trip the corresponding non-OK Status is
   /// returned and the graph is left unmodified (links are materialised
   /// only after a completed chase).
   ///
   /// `metrics` (nullable) receives the engine.* counters, the
-  /// engine.delta.size histogram and the reason/chase span tree, plus
+  /// engine.delta.size histogram, the reason/{extract,chase,store_links}
+  /// spans, reason.facts.extracted (facts offered to the fact base) and
   /// reason.links.materialised.
   Result<ReasonStats> Reason(const RunContext* run_ctx = nullptr,
                              MetricsRegistry* metrics = nullptr);
 
-  /// Incremental continuation after a completed Reason(): facts for graph
-  /// mutations made since that run are loaded as deltas (fact extraction
-  /// is idempotent, so only genuinely new tuples extend the relations)
-  /// and the chase resumes via Engine::RunIncremental — null memoisation,
-  /// aggregate state and provenance carry over, and only work caused by
-  /// the delta is done. This is the ingest path of the serving layer.
+  /// Incremental continuation after a completed Reason(): the nodes and
+  /// edge slots appended since the last extraction (the watermark) are
+  /// loaded as deltas, and the chase resumes via Engine::RunIncremental —
+  /// null memoisation, aggregate state and provenance carry over, and
+  /// only work caused by the delta is done. Only the links derived since
+  /// the last run are stored. A mapped predicate the rules started to
+  /// mention since the last extraction (AddRules) is extracted over the
+  /// whole graph. Property edits and RemoveEdge on nodes and edges below
+  /// the watermark are not seen: call Reason(). This is the ingest path
+  /// of the serving layer; its spans are reason_incremental/{extract,
+  /// chase,store_links}.
   ///
   /// Fails with kInvalidArgument before any completed Reason(), after an
   /// aborted run (the message names the aborting run's limit status), or
@@ -95,7 +111,8 @@ class KnowledgeGraph {
                                         MetricsRegistry* metrics = nullptr);
 
   /// Non-allocating scan over a predicate's facts after the last Reason()
-  /// (empty before). The scan reads the engine's columnar storage in
+  /// (empty before, and empty for a mapped predicate no rule mentions:
+  /// it is never loaded). The scan reads the engine's columnar storage in
   /// place; it stays valid until the next Reason()/ReasonIncremental()
   /// call replaces or extends the fact base.
   datalog::RelationScan Query(std::string_view predicate) const;
@@ -113,9 +130,24 @@ class KnowledgeGraph {
   const datalog::Catalog& catalog() const { return catalog_; }
 
  private:
+  /// Loads the graph into db_: the predicates extracted before from the
+  /// watermark on, the ones the rules mention since over the whole graph;
+  /// then moves the watermark to the graph's end.
+  Status ExtractFacts(const RunContext* run_ctx, MetricsRegistry* metrics);
+  /// Materialises the links derived since the last call on this db_.
+  Result<size_t> StoreLinks(const RunContext* run_ctx,
+                            MetricsRegistry* metrics);
+
   graph::PropertyGraph graph_;
   datalog::Catalog catalog_;
   datalog::Program combined_;  // all programs merged
+  PredicateSet used_;          // mapped predicates combined_ mentions
+  // What db_ holds: these predicates, for nodes below extracted_nodes_
+  // and edge slots below extracted_edges_.
+  PredicateSet extracted_;
+  graph::NodeId extracted_nodes_ = 0;
+  graph::EdgeId extracted_edges_ = 0;
+  LinkCursor stored_links_ = {};  // db_'s link rows already materialised
   std::vector<std::pair<std::string, datalog::ExternalFn>> extra_fns_;
   ParallelOptions parallel_;
   std::unique_ptr<ThreadPool> pool_;           // last run's pool (if any)

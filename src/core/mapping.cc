@@ -1,5 +1,8 @@
 #include "core/mapping.h"
 
+#include <algorithm>
+#include <initializer_list>
+
 #include "company/company_graph.h"
 
 namespace vadalink::core {
@@ -23,119 +26,145 @@ Value ToEngineValue(const graph::PropertyValue& v,
   return Value();
 }
 
-Status LoadGraphFacts(const graph::PropertyGraph& g, datalog::Database* db,
-                      MappingOptions options) {
-  datalog::Catalog* cat = db->catalog();
-  const uint32_t company_p = cat->predicates.Intern("company");
-  const uint32_t person_p = cat->predicates.Intern("person");
-  const uint32_t own_p = cat->predicates.Intern("own");
-  const uint32_t voting_p = cat->predicates.Intern("voting");
-  const uint32_t node_p = cat->predicates.Intern("node");
-  const uint32_t nodetype_p = cat->predicates.Intern("nodetype");
-  const uint32_t nodefeature_p = cat->predicates.Intern("nodefeature");
-  const uint32_t link_p = cat->predicates.Intern("link");
-  const uint32_t edgetype_p = cat->predicates.Intern("edgetype");
-  const uint32_t edgefeature_p = cat->predicates.Intern("edgefeature");
+PredicateSet AllMappedPredicates() {
+  PredicateSet all;
+  for (std::string_view name : kMappedPredicates) all.emplace(name);
+  return all;
+}
 
-  for (graph::NodeId n = 0; n < g.node_count(); ++n) {
-    Value id = Value::Int(static_cast<int64_t>(n));
+PredicateSet DomainPredicates() {
+  return {"company", "person", "own", "voting"};
+}
+
+PredicateSet MappedPredicatesUsedBy(const datalog::Program& program,
+                                    const datalog::Catalog& catalog) {
+  PredicateSet used;
+  auto add = [&](uint32_t predicate) {
+    const std::string& name = catalog.predicates.Name(predicate);
+    if (std::find(kMappedPredicates.begin(), kMappedPredicates.end(),
+                  name) != kMappedPredicates.end()) {
+      used.insert(name);
+    }
+  };
+  for (const datalog::Rule& rule : program.rules) {
+    for (const datalog::Literal& lit : rule.body) {
+      if (lit.kind == datalog::Literal::Kind::kAtom ||
+          lit.kind == datalog::Literal::Kind::kNegatedAtom) {
+        add(lit.atom.predicate);
+      }
+    }
+    for (const datalog::Atom& head : rule.head) add(head.predicate);
+  }
+  for (const datalog::Atom& fact : program.facts) add(fact.predicate);
+  for (uint32_t out : program.outputs) add(out);
+  return used;
+}
+
+Result<size_t> LoadGraphFacts(const graph::PropertyGraph& g,
+                              datalog::Database* db,
+                              const MappingOptions& options) {
+  datalog::Catalog* cat = db->catalog();
+  // Unselected predicates are never interned: kSkip marks them.
+  constexpr uint32_t kSkip = UINT32_MAX;
+  auto select = [&](std::string_view name) {
+    return options.predicates.count(name) != 0 ? cat->predicates.Intern(name)
+                                               : kSkip;
+  };
+  const uint32_t company_p = select("company");
+  const uint32_t person_p = select("person");
+  const uint32_t own_p = select("own");
+  const uint32_t voting_p = select("voting");
+  const uint32_t node_p = select("node");
+  const uint32_t nodetype_p = select("nodetype");
+  const uint32_t nodefeature_p = select("nodefeature");
+  const uint32_t link_p = select("link");
+  const uint32_t edgetype_p = select("edgetype");
+  const uint32_t edgefeature_p = select("edgefeature");
+  auto symbol = [&](const std::string& s) {
+    return Value::Symbol(cat->symbols.Intern(s));
+  };
+
+  size_t offered = 0;
+  auto insert = [&](uint32_t predicate,
+                    std::initializer_list<Value> tuple) -> Status {
+    if (predicate == kSkip) return Status::OK();
+    ++offered;
+    return db->Insert(predicate, tuple.begin(), tuple.size()).status();
+  };
+
+  const bool node_facts = company_p != kSkip || person_p != kSkip ||
+                          node_p != kSkip || nodetype_p != kSkip ||
+                          nodefeature_p != kSkip;
+  for (graph::NodeId n = options.first_node;
+       node_facts && n < g.node_count(); ++n) {
+    const Value id = Value::Int(static_cast<int64_t>(n));
     const std::string& label = g.node_label(n);
     if (label == "Company") {
-      VL_RETURN_NOT_OK(db->Insert(company_p, {id}).status());
+      VL_RETURN_NOT_OK(insert(company_p, {id}));
     } else if (label == "Person") {
-      VL_RETURN_NOT_OK(db->Insert(person_p, {id}).status());
+      VL_RETURN_NOT_OK(insert(person_p, {id}));
     }
-    if (options.generic_encoding) {
-      VL_RETURN_NOT_OK(db->Insert(node_p, {id}).status());
-      VL_RETURN_NOT_OK(
-          db->Insert(nodetype_p,
-                     {id, Value::Symbol(cat->symbols.Intern(label))})
-              .status());
+    VL_RETURN_NOT_OK(insert(node_p, {id}));
+    if (nodetype_p != kSkip) {
+      VL_RETURN_NOT_OK(insert(nodetype_p, {id, symbol(label)}));
+    }
+    if (nodefeature_p != kSkip) {
       for (const auto& [key, value] : g.node_properties(n)) {
-        VL_RETURN_NOT_OK(
-            db->Insert(nodefeature_p,
-                       {id, Value::Symbol(cat->symbols.Intern(key)),
-                        ToEngineValue(value, cat)})
-                .status());
+        VL_RETURN_NOT_OK(insert(nodefeature_p,
+                                {id, symbol(key), ToEngineValue(value, cat)}));
       }
     }
   }
 
-  Status st = Status::OK();
-  g.ForEachEdge([&](graph::EdgeId e) {
-    if (!st.ok()) return;
-    Value eid = Value::Int(static_cast<int64_t>(e));
-    Value src = Value::Int(static_cast<int64_t>(g.edge_src(e)));
-    Value dst = Value::Int(static_cast<int64_t>(g.edge_dst(e)));
+  const bool share_facts = own_p != kSkip || voting_p != kSkip;
+  const bool edge_facts = share_facts || link_p != kSkip ||
+                          edgetype_p != kSkip || edgefeature_p != kSkip;
+  for (graph::EdgeId e = options.first_edge;
+       edge_facts && e < g.edge_slots(); ++e) {
+    if (!g.IsValidEdge(e)) continue;
+    const Value eid = Value::Int(static_cast<int64_t>(e));
+    const Value src = Value::Int(static_cast<int64_t>(g.edge_src(e)));
+    const Value dst = Value::Int(static_cast<int64_t>(g.edge_dst(e)));
     const std::string& label = g.edge_label(e);
-    if (label == "Shareholding") {
-      const graph::PropertyValue& w =
-          g.GetEdgeProperty(e, options.weight_key);
+    const graph::PropertyValue& w = g.GetEdgeProperty(e, options.weight_key);
+    if (share_facts && label == "Shareholding") {
       double weight = w.is_numeric() ? w.AsNumber() : 0.0;
-      auto rights = company::SplitShareRights(g, e, weight);
-      if (!rights.ok()) {
-        st = rights.status();
-        return;
-      }
-      auto [cash, voting_w] = *rights;
-      auto r = db->Insert(own_p, {src, dst, Value::Double(cash)});
-      if (!r.ok()) {
-        st = r.status();
-        return;
-      }
+      VL_ASSIGN_OR_RETURN(auto rights,
+                          company::SplitShareRights(g, e, weight));
+      auto [cash, voting_w] = rights;
+      VL_RETURN_NOT_OK(insert(own_p, {src, dst, Value::Double(cash)}));
       if (voting_w > 0.0) {
-        r = db->Insert(voting_p, {src, dst, Value::Double(voting_w)});
-        if (!r.ok()) {
-          st = r.status();
-          return;
-        }
+        VL_RETURN_NOT_OK(insert(voting_p, {src, dst, Value::Double(voting_w)}));
       }
     }
-    if (options.generic_encoding) {
-      const graph::PropertyValue& w =
-          g.GetEdgeProperty(e, options.weight_key);
-      double weight = w.is_numeric() ? w.AsNumber() : 1.0;
-      auto r = db->Insert(link_p, {eid, src, dst, Value::Double(weight)});
-      if (!r.ok()) {
-        st = r.status();
-        return;
-      }
-      r = db->Insert(edgetype_p,
-                     {eid, Value::Symbol(cat->symbols.Intern(label))});
-      if (!r.ok()) {
-        st = r.status();
-        return;
-      }
+    double weight = w.is_numeric() ? w.AsNumber() : 1.0;
+    VL_RETURN_NOT_OK(insert(link_p, {eid, src, dst, Value::Double(weight)}));
+    if (edgetype_p != kSkip) {
+      VL_RETURN_NOT_OK(insert(edgetype_p, {eid, symbol(label)}));
+    }
+    if (edgefeature_p != kSkip) {
       for (const auto& [key, value] : g.edge_properties(e)) {
-        r = db->Insert(edgefeature_p,
-                       {eid, Value::Symbol(cat->symbols.Intern(key)),
-                        ToEngineValue(value, cat)});
-        if (!r.ok()) {
-          st = r.status();
-          return;
-        }
+        VL_RETURN_NOT_OK(insert(edgefeature_p, {eid, symbol(key),
+                                                ToEngineValue(value, cat)}));
       }
     }
-  });
-  return st;
+  }
+  return offered;
 }
 
-Result<size_t> StorePredictedLinks(datalog::Database& db,
-                                   graph::PropertyGraph* g) {
-  struct PredMap {
-    const char* predicate;
-    const char* edge_label;
-  };
-  static constexpr PredMap kMaps[] = {
-      {"control", "Control"},
-      {"closelink", "CloseLink"},
-      {"partnerof", "PartnerOf"},
-      {"parentof", "ParentOf"},
-      {"siblingof", "SiblingOf"},
-  };
+Result<size_t> StorePredictedLinks(const datalog::Database& db,
+                                   graph::PropertyGraph* g,
+                                   LinkCursor* cursor) {
+  LinkCursor from_start = {};
+  if (cursor == nullptr) cursor = &from_start;
   size_t added = 0;
-  for (const PredMap& m : kMaps) {
-    for (datalog::RowRef tuple : db.Scan(m.predicate)) {
+  for (size_t i = 0; i < kLinkPredicates.size(); ++i) {
+    const LinkPredicate& m = kLinkPredicates[i];
+    datalog::RelationScan rows = db.Scan(m.predicate);
+    // On an error the cursor stays on the failing row.
+    size_t& row = (*cursor)[i];
+    for (row = std::max(row, rows.first_row()); row < rows.size(); ++row) {
+      datalog::RowRef tuple = rows[row];
       if (tuple.size() < 2 || !tuple[0].is_int() || !tuple[1].is_int()) {
         // Tuples over non-node-id constants (e.g. from a program carrying
         // its own symbolic facts) have no graph counterpart: skip them.
@@ -144,7 +173,7 @@ Result<size_t> StorePredictedLinks(datalog::Database& db,
       auto x = static_cast<graph::NodeId>(tuple[0].AsInt());
       auto y = static_cast<graph::NodeId>(tuple[1].AsInt());
       if (!g->IsValidNode(x) || !g->IsValidNode(y)) {
-        return Status::OutOfRange(std::string("predicate ") + m.predicate +
+        return Status::OutOfRange("predicate " + std::string(m.predicate) +
                                   " references unknown node id");
       }
       if (g->FindEdge(x, y, m.edge_label) != graph::kInvalidEdge) continue;

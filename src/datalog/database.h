@@ -90,6 +90,9 @@ class RelationScan {
   inline bool empty() const;
   /// Arity of the underlying relation; 0 for an empty scan.
   inline size_t arity() const;
+  /// Row id begin() starts at: the first resident row (0 for an empty
+  /// scan).
+  inline size_t first_row() const;
   /// Indexing is by absolute (stable) row id.
   RowRef operator[](size_t i) const {
     return RowRef(rel_, static_cast<uint32_t>(i));
@@ -301,9 +304,11 @@ inline bool RelationScan::empty() const {
 inline size_t RelationScan::arity() const {
   return rel_ == nullptr || rel_->arity() == SIZE_MAX ? 0 : rel_->arity();
 }
+inline size_t RelationScan::first_row() const {
+  return rel_ == nullptr ? 0 : rel_->first_resident();
+}
 inline RelationScan::Iterator RelationScan::begin() const {
-  return Iterator(
-      rel_, rel_ == nullptr ? 0 : static_cast<uint32_t>(rel_->first_resident()));
+  return Iterator(rel_, static_cast<uint32_t>(first_row()));
 }
 
 inline void PostingView::CheckEpoch() const {

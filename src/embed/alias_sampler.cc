@@ -15,6 +15,7 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   const size_t n = weights.size();
   prob_.resize(n);
   alias_.assign(n, 0);
+  threshold_ = Rng::RejectionThreshold(n);
 
   std::vector<double> scaled(n);
   for (size_t i = 0; i < n; ++i) {
@@ -41,7 +42,7 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
 }
 
 size_t AliasSampler::Sample(Rng* rng) const {
-  size_t i = rng->UniformU64(prob_.size());
+  size_t i = rng->UniformU64(prob_.size(), threshold_);
   return rng->UniformDouble() < prob_[i] ? i : alias_[i];
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +28,7 @@ class AliasSampler {
  private:
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
+  uint64_t threshold_ = 0;  // Rng::RejectionThreshold(size()), fixed
 };
 
 }  // namespace vadalink::embed

@@ -191,13 +191,14 @@ void TrainOneWalk(const std::vector<uint32_t>& walk, float* in_data,
                   std::vector<float>& grad, size_t& step, size_t total_steps) {
   std::vector<uint32_t> targets;
   targets.reserve(1 + config.negatives);
+  const uint64_t window_threshold = Rng::RejectionThreshold(config.window);
   for (size_t i = 0; i < walk.size(); ++i) {
     double progress = static_cast<double>(step++) / total_steps;
     double lr = config.initial_lr * (1.0 - progress);
     if (lr < config.min_lr) lr = config.min_lr;
 
     // Dynamic window, as in word2vec.
-    size_t reduced = 1 + rng.UniformU64(config.window);
+    size_t reduced = 1 + rng.UniformU64(config.window, window_threshold);
     size_t lo = i >= reduced ? i - reduced : 0;
     size_t hi = std::min(walk.size(), i + reduced + 1);
     uint32_t center = walk[i];

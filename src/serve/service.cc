@@ -47,7 +47,8 @@ std::string FormatThreshold(double t) {
 }
 
 Status ValidateNode(const SnapshotPtr& snap, int64_t id, const char* what) {
-  if (id < 0 || static_cast<size_t>(id) >= snap->graph.node_count()) {
+  if (id < 0 ||
+      static_cast<size_t>(id) >= snap->company_graph.node_count()) {
     return Status::NotFound(std::string(what) + " node " + std::to_string(id) +
                             " does not exist at graph version " +
                             std::to_string(snap->version));
@@ -94,10 +95,10 @@ Status ReasoningService::Init(graph::PropertyGraph graph,
 }
 
 Status ReasoningService::PublishLocked() {
+  ScopedSpan span(metrics_, "publish");
   auto snap = std::make_shared<GraphSnapshot>();
   snap->version = next_version_;
-  snap->graph = kg_.graph();  // frozen deep copy
-  auto cg = company::CompanyGraph::FromPropertyGraph(snap->graph);
+  auto cg = company::CompanyGraph::FromPropertyGraph(kg_.graph());
   if (!cg.ok()) return cg.status();
   snap->company_graph = std::move(cg).value();
   if (control_fixpoint_) {

@@ -2,10 +2,11 @@
 //
 // The server's write path (ingest + incremental reasoning) mutates one
 // resident KnowledgeGraph under a writer mutex; after each successful
-// mutation it publishes an immutable GraphSnapshot — a deep copy of the
-// property graph, the prebuilt CompanyGraph the keyed query algorithms
-// run on, and (when the rules program defines control/2) the control
-// relation of the fixpoint just established. Readers grab the current
+// mutation it publishes an immutable GraphSnapshot: the CompanyGraph the
+// keyed query algorithms run on, built from the resident property graph
+// under that mutex, and (when the rules program defines control/2) the
+// control relation of the fixpoint just established. No reader needs the
+// property graph itself, so it is never copied. Readers grab the current
 // shared_ptr (one mutex-protected pointer copy), then compute entirely
 // against that frozen version: a concurrent ingest can never mutate data
 // under a running query, and a request's "graph_version" names exactly
@@ -23,15 +24,15 @@
 #include <vector>
 
 #include "company/company_graph.h"
-#include "graph/property_graph.h"
 
 namespace vadalink::serve {
 
 /// One immutable published version of the graph.
 struct GraphSnapshot {
   uint64_t version = 0;
-  graph::PropertyGraph graph;           // frozen deep copy
-  company::CompanyGraph company_graph;  // prebuilt typed view over `graph`
+  /// Typed view of the resident graph at this version; its node_count()
+  /// is the graph's, so it also validates node ids.
+  company::CompanyGraph company_graph;
   /// The rules program's control/2 relation at the fixpoint this version
   /// was published from, as (source, controlled) pairs sorted ascending;
   /// empty when serve does not answer `control` from the rules.

@@ -54,7 +54,7 @@ ChaseOutcome ChaseGraph(const graph::PropertyGraph& g,
   Catalog catalog;
   Database db(&catalog);
   core::MappingOptions map_opts;
-  map_opts.generic_encoding = false;
+  map_opts.predicates = core::DomainPredicates();
   EXPECT_TRUE(core::LoadGraphFacts(g, &db, map_opts).ok());
   auto program = ParseProgram(rules, &catalog);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
@@ -220,7 +220,7 @@ TEST(StreamingChaseTest, QueryGoalStaysResidentUnderStreaming) {
     Catalog catalog;
     Database db(&catalog);
     core::MappingOptions map_opts;
-    map_opts.generic_encoding = false;
+    map_opts.predicates = core::DomainPredicates();
     EXPECT_TRUE(core::LoadGraphFacts(g, &db, map_opts).ok());
     auto program = ParseProgram(rules, &catalog);
     EXPECT_TRUE(program.ok());

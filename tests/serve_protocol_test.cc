@@ -222,7 +222,9 @@ TEST(SnapshotTest, MonotonePublishAndIsolation) {
 
   auto v1 = std::make_shared<GraphSnapshot>();
   v1->version = 1;
-  v1->graph.AddNode("Person");
+  graph::PropertyGraph g;
+  g.AddNode("Person");
+  v1->company_graph = company::CompanyGraph::FromPropertyGraph(g).value();
   ASSERT_TRUE(store.Publish(v1));
   EXPECT_EQ(store.version(), 1u);
 
@@ -233,7 +235,7 @@ TEST(SnapshotTest, MonotonePublishAndIsolation) {
   ASSERT_TRUE(store.Publish(v2));
   EXPECT_EQ(store.version(), 2u);
   EXPECT_EQ(held->version, 1u);
-  EXPECT_EQ(held->graph.node_count(), 1u);
+  EXPECT_EQ(held->company_graph.node_count(), 1u);
 
   // Non-increasing versions are rejected — single-writer discipline.
   auto stale = std::make_shared<GraphSnapshot>();

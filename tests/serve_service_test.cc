@@ -424,15 +424,15 @@ TEST_F(ServiceTest, QueryModeServesCloseLinksIdentically) {
 /// The computation cold default-threshold `control` reads used to run per
 /// request: the graph's facts loaded into a fresh database, then
 /// Engine::Query(control(source, X)) over the rules. The control program
-/// reads only company/1, person/1 and voting/3, so the generic encoding
-/// is left out (it is most of the load time).
+/// reads only company/1, person/1 and voting/3, so only the domain
+/// encoding is loaded (the generic one is most of the load time).
 std::vector<int64_t> QueryControlled(const graph::PropertyGraph& g,
                                      const std::string& rules,
                                      int64_t source) {
   datalog::Catalog cat;
   datalog::Database db(&cat);
   core::MappingOptions mapping;
-  mapping.generic_encoding = false;
+  mapping.predicates = core::DomainPredicates();
   EXPECT_TRUE(core::LoadGraphFacts(g, &db, mapping).ok());
   auto program = datalog::ParseProgram(rules, &cat);
   auto goal = datalog::ParseQueryGoal(
@@ -508,6 +508,23 @@ class FixpointServiceTest : public ServiceTest {
     return result != nullptr ? *result : Json::Null();
   }
 
+  /// Facts the service's KG has offered to its fact base so far.
+  uint64_t Extracted() const {
+    return metrics_.CounterValue("reason.facts.extracted");
+  }
+
+  /// What the control program reads of the mirror: its company, person
+  /// and voting facts.
+  size_t ControlInputs() const {
+    datalog::Catalog cat;
+    datalog::Database db(&cat);
+    core::MappingOptions mapping;
+    mapping.predicates = {"company", "person", "voting"};
+    auto loaded = core::LoadGraphFacts(mirror_, &db, mapping);
+    EXPECT_TRUE(loaded.ok());
+    return loaded.ok() ? *loaded : 0;
+  }
+
   graph::PropertyGraph mirror_;
   std::string rules_ = core::ControlProgram(0.5);
 };
@@ -523,6 +540,9 @@ TEST_F(FixpointServiceTest, ControlReadsEqualFreshGoalQueryAcrossIngests) {
   ASSERT_TRUE(service_->Init(data.graph, rules_).ok());
   ExpectEveryNodeMatches("after Init");
   EXPECT_EQ(metrics_.CounterValue("serve.query.engine"), mirror_.node_count());
+  // Init extracts only what the rules read; each ingest below extracts
+  // only the facts of its own delta.
+  EXPECT_EQ(Extracted(), ControlInputs());
 
   // A new company node, bought outright by an existing person.
   const auto person = static_cast<int64_t>(data.persons.front());
@@ -537,7 +557,9 @@ TEST_F(FixpointServiceTest, ControlReadsEqualFreshGoalQueryAcrossIngests) {
     Json edges = Json::MakeArray();
     edges.Append(EdgeJson(person, new_company, 0.9));
     delta.Set("edges", edges);
+    const uint64_t extracted = Extracted();
     Ingest(delta);
+    EXPECT_EQ(Extracted(), extracted + 2);  // company(new), voting(edge)
     ExpectEveryNodeMatches("after a new company node");
   }
 
@@ -557,7 +579,9 @@ TEST_F(FixpointServiceTest, ControlReadsEqualFreshGoalQueryAcrossIngests) {
     Json edges = Json::MakeArray();
     edges.Append(EdgeJson(buyer, target, 0.6));
     delta.Set("edges", edges);
+    const uint64_t extracted = Extracted();
     Ingest(delta);
+    EXPECT_EQ(Extracted(), extracted + 1);  // voting(edge)
     std::vector<int64_t> now = QueryControlled(mirror_, rules_, buyer);
     EXPECT_TRUE(std::find(now.begin(), now.end(), target) != now.end());
     ExpectEveryNodeMatches("after an edge that flips control");
@@ -580,7 +604,9 @@ TEST_F(FixpointServiceTest, ControlReadsEqualFreshGoalQueryAcrossIngests) {
                           static_cast<int64_t>(mirror_.edge_dst(existing)),
                           0.3));
     delta.Set("edges", edges);
+    const uint64_t extracted = Extracted();
     Ingest(delta);
+    EXPECT_EQ(Extracted(), extracted + 1);  // voting(edge)
     ExpectEveryNodeMatches("after a parallel holding");
   }
 
@@ -594,8 +620,11 @@ TEST_F(FixpointServiceTest, ControlReadsEqualFreshGoalQueryAcrossIngests) {
     Json edges = Json::MakeArray();
     edges.Append(EdgeJson(person, target, 0.55));
     delta.Set("edges", edges);
+    const uint64_t extracted = Extracted();
     Json result = Ingest(delta);
     FaultInjection::Reset();
+    // The recovery's full Reason extracts the whole graph again.
+    EXPECT_EQ(Extracted(), extracted + ControlInputs());
     ASSERT_NE(result.Find("recovered"), nullptr) << result.Dump();
     EXPECT_TRUE(result.Find("recovered")->AsBool());
     EXPECT_EQ(service_->version(), 5u);

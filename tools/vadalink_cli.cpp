@@ -335,8 +335,8 @@ int CmdReason(const Flags& flags) {
   if (query.find('(') != std::string::npos) {
     datalog::Catalog cat;
     datalog::Database db(&cat);
-    if (Status st = core::LoadGraphFacts(g.value(), &db); !st.ok()) {
-      return Fail(st);
+    if (auto loaded = core::LoadGraphFacts(g.value(), &db); !loaded.ok()) {
+      return Fail(loaded.status());
     }
     auto program = datalog::ParseProgram(ss.str(), &cat);
     if (!program.ok()) return Fail(program.status());
@@ -638,7 +638,9 @@ goal-directedly; 0 keeps the compiled whole-graph evaluators.
 binding arguments) runs the goal-directed query path instead of a full
 saturation and prints the magic-set rewrite summary plus the sorted goal
 answers; --query PRED (a bare name) still saturates and dumps the
-predicate.
+predicate. A full saturation loads only the graph predicates the program
+mentions, so a bare graph predicate it never uses (say 'own' for the
+control rules) dumps nothing.
 )");
 }
 
