@@ -23,8 +23,8 @@
 // evicted) must also match the full chase exactly.
 //
 // `--json FILE` (default BENCH_chase_memory.json) emits the document
-// validated by tools/check_chase_memory_schema.py against
-// tools/chase_memory_schema.json: per-workload peak resident facts,
+// that tools/check_json.py validates against
+// tools/schemas/chase_memory.json: per-workload peak resident facts,
 // evicted rows and memo hit rate, plus the suite-level peak ratio the
 // paper-scale claim is stated over (`--nodes 1000000`).
 #include <algorithm>
@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/engine_bench_json.h"
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/mapping.h"
@@ -161,6 +161,12 @@ int RunChase(const Workload& w, const graph::PropertyGraph& g, bool streaming,
   return 0;
 }
 
+double HitRate(const RunResult& r) {
+  return r.memo_queries > 0 ? static_cast<double>(r.memo_hits) /
+                                  static_cast<double>(r.memo_queries)
+                            : 0.0;
+}
+
 struct WorkloadReport {
   std::string name;
   size_t nodes = 0;
@@ -213,17 +219,13 @@ int RunSuite(const std::string& json_path, size_t nodes_override) {
     suite_streaming_peak += r.streaming.peak_resident;
     all_identical = all_identical && r.identical;
 
-    double hit_rate =
-        r.streaming.memo_queries > 0
-            ? static_cast<double>(r.streaming.memo_hits) /
-                  static_cast<double>(r.streaming.memo_queries)
-            : 0.0;
     bench::Row(
         "%-10s n=%-7zu | full peak %8zu | streaming peak %8zu (ratio "
         "%.2f) | evicted %8zu | memo %zu/%zu (%.2f) | identical %s",
         w.name, w.nodes, r.full.peak_resident, r.streaming.peak_resident,
         r.ratio, r.streaming.evicted_rows, r.streaming.memo_hits,
-        r.streaming.memo_queries, hit_rate, r.identical ? "yes" : "NO!");
+        r.streaming.memo_queries, HitRate(r.streaming),
+        r.identical ? "yes" : "NO!");
     reports.push_back(std::move(r));
   }
 
@@ -235,45 +237,45 @@ int RunSuite(const std::string& json_path, size_t nodes_override) {
              suite_streaming_peak, suite_full_peak, suite_ratio);
 
   if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    auto count = [](size_t v) { return Json::Int(static_cast<int64_t>(v)); };
+    Json workloads = Json::MakeArray();
+    for (const WorkloadReport& r : reports) {
+      Json full = Json::MakeObject();
+      full.Set("peak_resident_facts", count(r.full.peak_resident));
+      full.Set("total_facts", count(r.full.total_facts));
+      full.Set("seconds", Json::Double(r.full.seconds));
+      Json streaming = Json::MakeObject();
+      streaming.Set("peak_resident_facts", count(r.streaming.peak_resident));
+      streaming.Set("total_facts", count(r.streaming.total_facts));
+      streaming.Set("evicted_rows", count(r.streaming.evicted_rows));
+      streaming.Set("memo_queries", count(r.streaming.memo_queries));
+      streaming.Set("memo_hits", count(r.streaming.memo_hits));
+      streaming.Set("memo_hit_rate", Json::Double(HitRate(r.streaming)));
+      streaming.Set("seconds", Json::Double(r.streaming.seconds));
+      Json w = Json::MakeObject();
+      w.Set("name", Json::Str(r.name));
+      w.Set("nodes", count(r.nodes));
+      w.Set("full", std::move(full));
+      w.Set("streaming", std::move(streaming));
+      w.Set("ratio", Json::Double(r.ratio));
+      w.Set("identical", Json::Bool(r.identical));
+      workloads.Append(std::move(w));
+    }
+    Json suite = Json::MakeObject();
+    suite.Set("full_peak_resident_facts", count(suite_full_peak));
+    suite.Set("streaming_peak_resident_facts", count(suite_streaming_peak));
+    suite.Set("ratio", Json::Double(suite_ratio));
+    suite.Set("bound", Json::Double(0.5));
+    suite.Set("within_bound", Json::Bool(suite_ratio <= 0.5));
+    Json doc = Json::MakeObject();
+    doc.Set("schema_version", Json::Int(1));
+    doc.Set("bench", Json::Str("chase_memory"));
+    doc.Set("workloads", std::move(workloads));
+    doc.Set("suite", std::move(suite));
+    if (Status st = WriteJsonFile(json_path, doc); !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    std::fprintf(f,
-                 "{\n  \"schema_version\": 1,\n  \"bench\": "
-                 "\"chase_memory\",\n  \"workloads\": [");
-    for (size_t i = 0; i < reports.size(); ++i) {
-      const WorkloadReport& r = reports[i];
-      const double hit_rate =
-          r.streaming.memo_queries > 0
-              ? static_cast<double>(r.streaming.memo_hits) /
-                    static_cast<double>(r.streaming.memo_queries)
-              : 0.0;
-      std::fprintf(
-          f,
-          "%s\n    {\"name\": \"%s\", \"nodes\": %zu,"
-          "\n     \"full\": {\"peak_resident_facts\": %zu, "
-          "\"total_facts\": %zu, \"seconds\": %.6f},"
-          "\n     \"streaming\": {\"peak_resident_facts\": %zu, "
-          "\"total_facts\": %zu, \"evicted_rows\": %zu, "
-          "\"memo_queries\": %zu, \"memo_hits\": %zu, "
-          "\"memo_hit_rate\": %.4f, \"seconds\": %.6f},"
-          "\n     \"ratio\": %.4f, \"identical\": %s}",
-          i == 0 ? "" : ",", bench::JsonEscape(r.name).c_str(), r.nodes,
-          r.full.peak_resident, r.full.total_facts, r.full.seconds,
-          r.streaming.peak_resident, r.streaming.total_facts,
-          r.streaming.evicted_rows, r.streaming.memo_queries,
-          r.streaming.memo_hits, hit_rate, r.streaming.seconds, r.ratio,
-          r.identical ? "true" : "false");
-    }
-    std::fprintf(f,
-                 "\n  ],\n  \"suite\": {\"full_peak_resident_facts\": %zu, "
-                 "\"streaming_peak_resident_facts\": %zu, \"ratio\": %.4f, "
-                 "\"bound\": 0.5, \"within_bound\": %s}\n}\n",
-                 suite_full_peak, suite_streaming_peak, suite_ratio,
-                 suite_ratio <= 0.5 ? "true" : "false");
-    std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
 

@@ -2,13 +2,13 @@
 // walk generation, hogwild skip-gram training, k-means assignment,
 // per-block candidate-pair scoring, and the engine's delta joins.
 //
-// Emits a JSON document (stdout) mapping each path to seconds and speedup
-// per thread count, e.g.
+// Emits a JSON document (stdout, one line) mapping each path to seconds
+// and speedup per thread count, e.g.
 //
 //   { "hardware_concurrency": 8,
 //     "paths": [ { "name": "node2vec_walks",
-//                  "points": [ {"threads": 1, "seconds": 1.9,
-//                               "speedup": 1.0}, ... ] }, ... ] }
+//                  "points": [ {"seconds": 1.9, "speedup": 1,
+//                               "threads": 1}, ... ] }, ... ] }
 //
 // Run on a multi-core box; the acceptance target is >= 2.5x at 8 threads
 // on at least two paths. `bench_parallel_scaling --threads 1,2,4,8`
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -65,17 +66,23 @@ struct Point {
   double seconds;
 };
 
-void EmitPath(const char* name, const std::vector<Point>& points, bool last) {
-  std::printf("    { \"name\": \"%s\",\n      \"points\": [\n", name);
+/// One path's entry of the stdout document: seconds and speedup over the
+/// first point, per thread count.
+Json PathJson(const char* name, const std::vector<Point>& points) {
   double baseline = points.empty() ? 1.0 : points.front().seconds;
-  for (size_t i = 0; i < points.size(); ++i) {
-    std::printf("        {\"threads\": %zu, \"seconds\": %.4f, "
-                "\"speedup\": %.2f}%s\n",
-                points[i].threads, points[i].seconds,
-                points[i].seconds > 0.0 ? baseline / points[i].seconds : 0.0,
-                i + 1 < points.size() ? "," : "");
+  Json list = Json::MakeArray();
+  for (const Point& p : points) {
+    Json j = Json::MakeObject();
+    j.Set("threads", Json::Int(static_cast<int64_t>(p.threads)));
+    j.Set("seconds", Json::Double(p.seconds));
+    j.Set("speedup",
+          Json::Double(p.seconds > 0.0 ? baseline / p.seconds : 0.0));
+    list.Append(std::move(j));
   }
-  std::printf("      ] }%s\n", last ? "" : ",");
+  Json path = Json::MakeObject();
+  path.Set("name", Json::Str(name));
+  path.Set("points", std::move(list));
+  return path;
 }
 
 }  // namespace
@@ -196,14 +203,17 @@ int main(int argc, char** argv) {
   }
 
   // --- JSON -----------------------------------------------------------------
-  std::printf("{\n  \"hardware_concurrency\": %u,\n  \"paths\": [\n",
-              std::thread::hardware_concurrency());
-  EmitPath("node2vec_walks", walk_pts, false);
-  EmitPath("skipgram_training", sg_pts, false);
-  EmitPath("kmeans_assignment", km_pts, false);
-  EmitPath("pair_scoring", score_pts, false);
-  EmitPath("engine_delta_joins", engine_pts, true);
-  std::printf("  ]\n}\n");
+  Json paths = Json::MakeArray();
+  paths.Append(PathJson("node2vec_walks", walk_pts));
+  paths.Append(PathJson("skipgram_training", sg_pts));
+  paths.Append(PathJson("kmeans_assignment", km_pts));
+  paths.Append(PathJson("pair_scoring", score_pts));
+  paths.Append(PathJson("engine_delta_joins", engine_pts));
+  Json doc = Json::MakeObject();
+  doc.Set("hardware_concurrency",
+          Json::Int(std::thread::hardware_concurrency()));
+  doc.Set("paths", std::move(paths));
+  std::printf("%s\n", doc.Dump().c_str());
 
   if (metrics != nullptr) {
     // Feed the measured points into the same span tree the pipeline uses,
@@ -223,7 +233,7 @@ int main(int argc, char** argv) {
     record("engine_delta_joins", engine_pts);
     MetricsJsonOptions json_opts;
     json_opts.include_timings = true;
-    if (Status st = registry.WriteJsonFile(metrics_json, json_opts);
+    if (Status st = WriteJsonFile(metrics_json, registry.ToJson(json_opts));
         !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;

@@ -15,7 +15,7 @@
 // `--engine-json FILE` emits the BENCH_engine.json document with the
 // per-workload "query_focus" block (speedup, facts_avoided,
 // fallback_count); see bench/engine_bench_json.h and
-// tools/engine_bench_schema.json.
+// tools/schemas/engine_bench.json.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>

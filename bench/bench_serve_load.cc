@@ -5,17 +5,17 @@
 // retried after the server's retry_after_ms hint — the retry count and
 // shed rate are part of the result, not noise.
 //
-// Emits a JSON document to --out (default BENCH_serve.json) validated in
-// CI against tools/serve_bench_schema.json:
+// Emits a JSON document to --out (default BENCH_serve.json) that CI
+// validates with tools/check_json.py against
+// tools/schemas/serve_bench.json:
 //
-//   { "schema_version": 1,
-//     "config": {"clients": 8, "requests_per_client": 500, ...},
-//     "graph": {"nodes": ..., "edges": ...},
-//     "totals": {"requests": ..., "ok": ..., "shed": ..., "stale": ...,
-//                "errors": ..., "retries": ...},
-//     "qps": ..., "shed_rate": ...,
-//     "latency_ms": {"p50": ..., "p90": ..., "p99": ..., "max": ...},
-//     "duration_seconds": ... }
+//   { "config": {"clients": 8, "deadline_ms": 2000, ...},
+//     "duration_seconds": ...,
+//     "graph": {"edges": ..., "nodes": ...},
+//     "latency_ms": {"max": ..., "p50": ..., "p90": ..., "p99": ...},
+//     "qps": ..., "schema_version": 1, "shed_rate": ...,
+//     "totals": {"errors": ..., "ok": ..., "requests": ..., "retries": ...,
+//                "shed": ..., "stale": ..., ...} }
 //
 // Flags: --clients N  --requests N  --max-inflight N  --queue-depth N
 //        --deadline-ms N  --persons N  --companies N  --out FILE
@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -82,26 +83,26 @@ ClientStats RunClient(int idx, int port, const BenchConfig& cfg,
     // screening workload), 8% health, 2% ingest writes.
     uint64_t dice = rng.UniformU64(100);
     std::string op;
-    serve::Json params = serve::Json::MakeObject();
+    Json params = Json::MakeObject();
     if (dice < 30) {
       op = "control";
-      params.Set("source", serve::Json::Int(
+      params.Set("source", Json::Int(
                                static_cast<int64_t>(rng.UniformU64(nodes))));
     } else if (dice < 60) {
       op = "ubo";
-      params.Set("target", serve::Json::Int(static_cast<int64_t>(
+      params.Set("target", Json::Int(static_cast<int64_t>(
                                rng.UniformU64(companies))));
     } else if (dice < 90) {
       op = "closelinks";
-      params.Set("company", serve::Json::Int(static_cast<int64_t>(
+      params.Set("company", Json::Int(static_cast<int64_t>(
                                 rng.UniformU64(companies))));
     } else if (dice < 98) {
       op = "health";
     } else {
       op = "ingest";
-      serve::Json node = serve::Json::MakeObject();
-      node.Set("label", serve::Json::Str("Company"));
-      serve::Json nodes_arr = serve::Json::MakeArray();
+      Json node = Json::MakeObject();
+      node.Set("label", Json::Str("Company"));
+      Json nodes_arr = Json::MakeArray();
       nodes_arr.Append(node);
       params.Set("nodes", nodes_arr);
     }
@@ -118,15 +119,15 @@ ClientStats RunClient(int idx, int port, const BenchConfig& cfg,
         break;
       }
       stats.latencies_ms.push_back(ms);
-      const serve::Json* ok = resp->Find("ok");
+      const Json* ok = resp->Find("ok");
       if (ok != nullptr && ok->AsBool()) {
         ++stats.ok;
-        const serve::Json* stale = resp->Find("stale");
+        const Json* stale = resp->Find("stale");
         if (stale != nullptr && stale->AsBool()) ++stats.stale;
         break;
       }
-      const serve::Json* err = resp->Find("error");
-      const serve::Json* retry =
+      const Json* err = resp->Find("error");
+      const Json* retry =
           err != nullptr ? err->Find("retry_after_ms") : nullptr;
       if (retry != nullptr) {
         ++stats.shed;
@@ -249,49 +250,45 @@ int main(int argc, char** argv) {
   double max_ms =
       total.latencies_ms.empty() ? 0.0 : total.latencies_ms.back();
 
-  serve::Json doc = serve::Json::MakeObject();
-  doc.Set("schema_version", serve::Json::Int(1));
-  serve::Json jcfg = serve::Json::MakeObject();
-  jcfg.Set("clients", serve::Json::Int(cfg.clients));
-  jcfg.Set("requests_per_client", serve::Json::Int(cfg.requests_per_client));
-  jcfg.Set("max_inflight", serve::Json::Int(cfg.max_inflight));
-  jcfg.Set("queue_depth", serve::Json::Int(cfg.queue_depth));
-  jcfg.Set("deadline_ms", serve::Json::Int(cfg.deadline_ms));
+  Json doc = Json::MakeObject();
+  doc.Set("schema_version", Json::Int(1));
+  Json jcfg = Json::MakeObject();
+  jcfg.Set("clients", Json::Int(cfg.clients));
+  jcfg.Set("requests_per_client", Json::Int(cfg.requests_per_client));
+  jcfg.Set("max_inflight", Json::Int(cfg.max_inflight));
+  jcfg.Set("queue_depth", Json::Int(cfg.queue_depth));
+  jcfg.Set("deadline_ms", Json::Int(cfg.deadline_ms));
   doc.Set("config", jcfg);
-  serve::Json jgraph = serve::Json::MakeObject();
-  jgraph.Set("nodes", serve::Json::Int(static_cast<int64_t>(node_count)));
-  jgraph.Set("edges", serve::Json::Int(static_cast<int64_t>(edge_count)));
+  Json jgraph = Json::MakeObject();
+  jgraph.Set("nodes", Json::Int(static_cast<int64_t>(node_count)));
+  jgraph.Set("edges", Json::Int(static_cast<int64_t>(edge_count)));
   doc.Set("graph", jgraph);
-  serve::Json jtot = serve::Json::MakeObject();
-  jtot.Set("requests", serve::Json::Int(static_cast<int64_t>(
+  Json jtot = Json::MakeObject();
+  jtot.Set("requests", Json::Int(static_cast<int64_t>(
                            cfg.clients) * cfg.requests_per_client));
-  jtot.Set("responses", serve::Json::Int(static_cast<int64_t>(responses)));
-  jtot.Set("ok", serve::Json::Int(static_cast<int64_t>(total.ok)));
-  jtot.Set("shed", serve::Json::Int(static_cast<int64_t>(total.shed)));
-  jtot.Set("stale", serve::Json::Int(static_cast<int64_t>(total.stale)));
-  jtot.Set("errors", serve::Json::Int(static_cast<int64_t>(total.errors)));
-  jtot.Set("retries", serve::Json::Int(static_cast<int64_t>(total.retries)));
+  jtot.Set("responses", Json::Int(static_cast<int64_t>(responses)));
+  jtot.Set("ok", Json::Int(static_cast<int64_t>(total.ok)));
+  jtot.Set("shed", Json::Int(static_cast<int64_t>(total.shed)));
+  jtot.Set("stale", Json::Int(static_cast<int64_t>(total.stale)));
+  jtot.Set("errors", Json::Int(static_cast<int64_t>(total.errors)));
+  jtot.Set("retries", Json::Int(static_cast<int64_t>(total.retries)));
   jtot.Set("transport_failures",
-           serve::Json::Int(static_cast<int64_t>(total.transport_failures)));
+           Json::Int(static_cast<int64_t>(total.transport_failures)));
   doc.Set("totals", jtot);
-  doc.Set("qps", serve::Json::Double(qps));
-  doc.Set("shed_rate", serve::Json::Double(shed_rate));
-  serve::Json jlat = serve::Json::MakeObject();
-  jlat.Set("p50", serve::Json::Double(p50));
-  jlat.Set("p90", serve::Json::Double(p90));
-  jlat.Set("p99", serve::Json::Double(p99));
-  jlat.Set("max", serve::Json::Double(max_ms));
+  doc.Set("qps", Json::Double(qps));
+  doc.Set("shed_rate", Json::Double(shed_rate));
+  Json jlat = Json::MakeObject();
+  jlat.Set("p50", Json::Double(p50));
+  jlat.Set("p90", Json::Double(p90));
+  jlat.Set("p99", Json::Double(p99));
+  jlat.Set("max", Json::Double(max_ms));
   doc.Set("latency_ms", jlat);
-  doc.Set("duration_seconds", serve::Json::Double(duration));
+  doc.Set("duration_seconds", Json::Double(duration));
 
-  std::string rendered = doc.Dump();
-  FILE* f = std::fopen(cfg.out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", cfg.out.c_str());
+  if (Status st = WriteJsonFile(cfg.out, doc); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  std::fprintf(f, "%s\n", rendered.c_str());
-  std::fclose(f);
 
   std::printf("qps %.0f | p50 %.2fms p90 %.2fms p99 %.2fms max %.2fms | "
               "shed %.1f%% | errors %llu | transport failures %llu\n",

@@ -1,19 +1,19 @@
 // Shared emission of the BENCH_engine.json document: per-workload chase
 // throughput, join-probe counts and the planner's chosen per-rule plans,
 // under both join orders (planned vs forced worst-case). Validated in CI
-// against tools/engine_bench_schema.json by
-// tools/check_engine_bench_schema.py.
+// by tools/check_json.py against tools/schemas/engine_bench.json.
 //
-//   { "schema_version": 1,
-//     "bench": "datalog_micro",
+//   { "bench": "datalog_micro",
+//     "schema_version": 1,
 //     "workloads": [
-//       { "name": "tc_chain_200", "facts_derived": 20100,
-//         "planned":    {"seconds": ..., "facts_per_sec": ...,
-//                        "join_probes": ..., "plans_computed": ...,
-//                        "plan_cache_hits": ...},
-//         "worst_case": { ...same fields... },
+//       { "agree": true,
+//         "facts_derived": 20100,
+//         "name": "tc_chain_200",
+//         "planned":    {"facts_per_sec": ..., "join_probes": ...,
+//                        "plan_cache_hits": ..., "plans_computed": ...,
+//                        "seconds": ...},
 //         "plans": ["rule 0: e[delta]@scan tc@0", ...],
-//         "agree": true } ] }
+//         "worst_case": { ...same fields... } } ] }
 //
 // "agree" asserts the sorted fact sets of the two runs are identical —
 // the planner may only change enumeration order, never the fixpoint.
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "datalog/database.h"
 
 namespace vadalink::bench {
@@ -81,66 +82,50 @@ inline std::vector<std::string> DatabaseFingerprint(
   return out;
 }
 
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 inline bool WriteEngineBenchJson(
     const std::string& path, const std::string& bench_name,
     const std::vector<EngineWorkloadReport>& workloads) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  auto u64 = [](uint64_t v) { return Json::Int(static_cast<int64_t>(v)); };
+  auto run = [&](const EngineRunReport& e) {
+    Json j = Json::MakeObject();
+    j.Set("seconds", Json::Double(e.seconds));
+    j.Set("facts_per_sec", Json::Double(e.facts_per_sec));
+    j.Set("join_probes", u64(e.join_probes));
+    j.Set("plans_computed", u64(e.plans_computed));
+    j.Set("plan_cache_hits", u64(e.plan_cache_hits));
+    return j;
+  };
+  Json list = Json::MakeArray();
+  for (const EngineWorkloadReport& r : workloads) {
+    Json w = Json::MakeObject();
+    w.Set("name", Json::Str(r.name));
+    w.Set("facts_derived", u64(r.facts_derived));
+    w.Set("planned", run(r.planned));
+    w.Set("worst_case", run(r.worst_case));
+    if (r.has_query_focus) {
+      Json q = Json::MakeObject();
+      q.Set("speedup", Json::Double(r.query_speedup));
+      q.Set("facts_avoided", u64(r.query_facts_avoided));
+      q.Set("fallback_count", u64(r.query_fallback_count));
+      q.Set("estimated_cost", Json::Double(r.query_estimated_cost));
+      q.Set("plan_us", u64(r.query_plan_us));
+      q.Set("cost_ratio", Json::Double(r.query_cost_ratio));
+      w.Set("query_focus", std::move(q));
+    }
+    Json plans = Json::MakeArray();
+    for (const std::string& p : r.plans) plans.Append(Json::Str(p));
+    w.Set("plans", std::move(plans));
+    w.Set("agree", Json::Bool(r.agree));
+    list.Append(std::move(w));
+  }
+  Json doc = Json::MakeObject();
+  doc.Set("schema_version", Json::Int(1));
+  doc.Set("bench", Json::Str(bench_name));
+  doc.Set("workloads", std::move(list));
+  if (Status st = WriteJsonFile(path, doc); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"schema_version\": 1,\n  \"bench\": \"%s\",\n",
-               JsonEscape(bench_name).c_str());
-  std::fprintf(f, "  \"workloads\": [");
-  for (size_t w = 0; w < workloads.size(); ++w) {
-    const EngineWorkloadReport& r = workloads[w];
-    std::fprintf(f, "%s\n    {\"name\": \"%s\", \"facts_derived\": %llu,",
-                 w == 0 ? "" : ",", JsonEscape(r.name).c_str(),
-                 static_cast<unsigned long long>(r.facts_derived));
-    auto run = [&](const char* key, const EngineRunReport& e) {
-      std::fprintf(f,
-                   "\n     \"%s\": {\"seconds\": %.6f, "
-                   "\"facts_per_sec\": %.1f, \"join_probes\": %llu, "
-                   "\"plans_computed\": %llu, \"plan_cache_hits\": %llu},",
-                   key, e.seconds, e.facts_per_sec,
-                   static_cast<unsigned long long>(e.join_probes),
-                   static_cast<unsigned long long>(e.plans_computed),
-                   static_cast<unsigned long long>(e.plan_cache_hits));
-    };
-    run("planned", r.planned);
-    run("worst_case", r.worst_case);
-    if (r.has_query_focus) {
-      std::fprintf(f,
-                   "\n     \"query_focus\": {\"speedup\": %.2f, "
-                   "\"facts_avoided\": %llu, \"fallback_count\": %llu, "
-                   "\"estimated_cost\": %.6g, \"plan_us\": %llu, "
-                   "\"cost_ratio\": %.4f},",
-                   r.query_speedup,
-                   static_cast<unsigned long long>(r.query_facts_avoided),
-                   static_cast<unsigned long long>(r.query_fallback_count),
-                   r.query_estimated_cost,
-                   static_cast<unsigned long long>(r.query_plan_us),
-                   r.query_cost_ratio);
-    }
-    std::fprintf(f, "\n     \"plans\": [");
-    for (size_t i = 0; i < r.plans.size(); ++i) {
-      std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                   JsonEscape(r.plans[i]).c_str());
-    }
-    std::fprintf(f, "],\n     \"agree\": %s}", r.agree ? "true" : "false");
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   return true;
 }

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "common/run_context.h"
@@ -13,56 +12,6 @@ namespace {
 
 /// Per-thread span nesting stack: pointers into live ScopedSpan paths.
 thread_local std::vector<const std::string*> g_span_stack;
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-void AppendKey(std::string* out, std::string_view key) {
-  *out += '"';
-  AppendEscaped(out, key);
-  *out += "\":";
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-/// Shortest round-trip double formatting: stable for equal inputs.
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double reparsed = 0.0;
-  std::sscanf(buf, "%lf", &reparsed);
-  for (int prec = 6; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    std::sscanf(shorter, "%lf", &reparsed);
-    if (reparsed == v) {
-      *out += shorter;
-      return;
-    }
-  }
-  *out += buf;
-}
 
 }  // namespace
 
@@ -144,80 +93,53 @@ void MetricsRegistry::RecordSpan(const std::string& path, uint64_t micros,
   }
 }
 
-std::string MetricsRegistry::ToJson(const MetricsJsonOptions& options) const {
+Json MetricsRegistry::ToJson(const MetricsJsonOptions& options) const {
+  auto u64 = [](uint64_t v) { return Json::Int(static_cast<int64_t>(v)); };
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"schema_version\":1,\"counters\":{";
-  bool first = true;
+  Json counters = Json::MakeObject();
   for (const auto& [name, c] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    AppendKey(&out, name);
-    AppendU64(&out, c->value());
+    counters.Set(name, u64(c->value()));
   }
-  out += "},\"gauges\":{";
-  first = true;
+  Json gauges = Json::MakeObject();
   for (const auto& [name, g] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    AppendKey(&out, name);
-    AppendDouble(&out, g->value());
+    gauges.Set(name, Json::Double(g->value()));
   }
-  out += "},\"histograms\":{";
-  first = true;
+  Json histograms = Json::MakeObject();
   for (const auto& [name, h] : histograms_) {
     // "*.us" histograms are wall-clock derived; emit only on request so
     // the default document stays byte-stable run-to-run.
-    if (!options.include_timings && name.size() >= 3 &&
-        name.compare(name.size() - 3, 3, ".us") == 0) {
-      continue;
-    }
-    if (!first) out += ',';
-    first = false;
-    AppendKey(&out, name);
-    out += "{\"count\":";
-    AppendU64(&out, h->count());
-    out += ",\"sum\":";
-    AppendU64(&out, h->sum());
-    out += ",\"buckets\":[";
+    if (!options.include_timings && name.ends_with(".us")) continue;
+    Json buckets = Json::MakeArray();
     uint64_t cumulative = 0;
     for (size_t i = 0; i < MetricsHistogram::kBuckets; ++i) {
-      if (i > 0) out += ',';
       cumulative += h->bucket(i);
-      AppendU64(&out, cumulative);
+      buckets.Append(u64(cumulative));
     }
-    out += "]}";
+    Json hist = Json::MakeObject();
+    // The last cumulative bucket, not count(): a concurrent Record() then
+    // cannot make the two disagree.
+    hist.Set("count", u64(cumulative));
+    hist.Set("sum", u64(h->sum()));
+    hist.Set("buckets", std::move(buckets));
+    histograms.Set(name, std::move(hist));
   }
-  out += "},\"spans\":{";
-  first = true;
+  Json spans = Json::MakeObject();
   for (const auto& [path, s] : spans_) {
-    if (!first) out += ',';
-    first = false;
-    AppendKey(&out, path);
-    out += "{\"count\":";
-    AppendU64(&out, s.count);
-    out += ",\"deadline_hits\":";
-    AppendU64(&out, s.deadline_hits);
-    out += ",\"budget_trips\":";
-    AppendU64(&out, s.budget_trips);
-    out += ",\"cancellations\":";
-    AppendU64(&out, s.cancellations);
-    if (options.include_timings) {
-      out += ",\"us\":";
-      AppendU64(&out, s.total_micros);
-    }
-    out += '}';
+    Json span = Json::MakeObject();
+    span.Set("count", u64(s.count));
+    span.Set("deadline_hits", u64(s.deadline_hits));
+    span.Set("budget_trips", u64(s.budget_trips));
+    span.Set("cancellations", u64(s.cancellations));
+    if (options.include_timings) span.Set("us", u64(s.total_micros));
+    spans.Set(path, std::move(span));
   }
-  out += "}}";
-  return out;
-}
-
-Status MetricsRegistry::WriteJsonFile(const std::string& path,
-                                      const MetricsJsonOptions& options) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << ToJson(options) << '\n';
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  Json doc = Json::MakeObject();
+  doc.Set("schema_version", Json::Int(1));
+  doc.Set("counters", std::move(counters));
+  doc.Set("gauges", std::move(gauges));
+  doc.Set("histograms", std::move(histograms));
+  doc.Set("spans", std::move(spans));
+  return doc;
 }
 
 std::string MetricsRegistry::TraceReport() const {

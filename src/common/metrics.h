@@ -26,9 +26,10 @@
 // existing chunk-ordered merges (or through commutative counter adds,
 // whose totals are order-independent).
 //
-// ToJson() emits the single stable-schema document shared by
-// `--metrics-json` and the bench harnesses: keys sorted, counters exact,
-// histogram buckets cumulative (monotone non-decreasing). Wall-clock
+// ToJson() builds the single stable-schema document shared by
+// `--metrics-json`, serve's `metrics` op and the bench harnesses: keys
+// sorted (common/json.h), counters exact, histogram buckets cumulative
+// (monotone non-decreasing). Wall-clock
 // fields (span microseconds, latency histograms) are gated behind
 // JsonOptions.include_timings so the default document is byte-stable
 // across runs for a deterministic pipeline (fixed seed, threads = 1).
@@ -48,6 +49,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/json.h"
 #include "common/status.h"
 
 namespace vadalink {
@@ -155,16 +157,13 @@ class MetricsRegistry {
                   const RunContext* run_ctx);
 
   /// The stable-schema JSON document (see DESIGN.md section 8):
-  /// {"schema_version":1,"counters":{...},"gauges":{...},
-  ///  "histograms":{name:{"count","sum","buckets":[cumulative...]}},
-  ///  "spans":{path:{"count","deadline_hits","budget_trips",
-  ///                 "cancellations"[,"us"]}}}
-  /// Keys are sorted; buckets are cumulative (monotone non-decreasing).
-  std::string ToJson(const MetricsJsonOptions& options = {}) const;
-
-  /// ToJson() to a file (trailing newline added).
-  Status WriteJsonFile(const std::string& path,
-                       const MetricsJsonOptions& options = {}) const;
+  /// {"counters":{...},"gauges":{...},
+  ///  "histograms":{name:{"buckets":[cumulative...],"count","sum"}},
+  ///  "schema_version":1,
+  ///  "spans":{path:{"budget_trips","cancellations","count",
+  ///                 "deadline_hits"[,"us"]}}}
+  /// Buckets are cumulative (monotone non-decreasing).
+  Json ToJson(const MetricsJsonOptions& options = {}) const;
 
   /// Human-readable span tree (indented by path depth, '/'-ordered),
   /// with per-span wall time and trip counts. For --trace output.

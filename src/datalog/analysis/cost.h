@@ -26,8 +26,7 @@
 //  1. the engine's join planner seeds cold relations (no rows, no index
 //     statistics yet) with the hi bound as a selectivity prior;
 //  2. Engine::Query attaches the rewritten program's total estimate to
-//     its QueryReport and can reject over-budget goals up front
-//     (EngineOptions::max_query_cost);
+//     its QueryReport;
 //  3. the analyzer's VL04x/VL05x pass turns the per-rule flags into lint
 //     diagnostics and `vadalink lint --cost --json` exports the whole
 //     report.

@@ -1,45 +1,26 @@
 #include "datalog/analysis/diagnostics.h"
 
-#include <cstdio>
+#include <cmath>
+#include <cstdlib>
 
 namespace vadalink::datalog::analysis {
 
 namespace {
 
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          *out += "\\u00";
-          *out += hex[(c >> 4) & 0xf];
-          *out += hex[c & 0xf];
-        } else {
-          *out += c;
-        }
-    }
-  }
+/// Rounds to 6 significant digits. The cost model's values (integers,
+/// powers of ten, the cap) then render the same on every platform.
+double RoundSignificant6(double v) {
+  if (v == 0.0 || !std::isfinite(v)) return v;
+  const int shift = 5 - static_cast<int>(std::floor(std::log10(std::fabs(v))));
+  double scale = 1.0;  // 10^|shift|, exact up to 1e22
+  for (int i = 0; i < std::abs(shift); ++i) scale *= 10.0;
+  return shift >= 0 ? std::round(v * scale) / scale
+                    : std::round(v / scale) * scale;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  *out += '"';
-  AppendJsonEscaped(out, s);
-  *out += '"';
-}
+Json Cost(double v) { return Json::Double(RoundSignificant6(v)); }
 
-/// %.6g keeps the document byte-stable across platforms for the value
-/// ranges the cost model produces (integers, powers of ten, the cap).
-void AppendJsonNumber(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
+Json Count(uint64_t v) { return Json::Int(static_cast<int64_t>(v)); }
 
 }  // namespace
 
@@ -86,73 +67,60 @@ std::string AnalysisReport::Render() const {
   return out;
 }
 
-std::string AnalysisReport::ToJson(const std::string& program_name) const {
-  std::string out = "{\"schema_version\":1,\"program\":";
-  AppendJsonString(&out, program_name);
-  out += ",\"summary\":{\"errors\":" + std::to_string(error_count()) +
-         ",\"warnings\":" + std::to_string(warning_count()) +
-         ",\"diagnostics\":" + std::to_string(diagnostics.size()) + "}";
-  out += ",\"diagnostics\":[";
-  for (size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    if (i > 0) out += ",";
-    out += "{\"severity\":";
-    AppendJsonString(&out, SeverityName(d.severity));
-    out += ",\"code\":";
-    AppendJsonString(&out, d.code);
-    out += ",\"rule\":";
-    out += d.rule_index == Diagnostic::kNoRule
-               ? "-1"
-               : std::to_string(d.rule_index);
-    out += ",\"predicate\":";
-    AppendJsonString(&out, d.predicate);
-    out += ",\"line\":" + std::to_string(d.span.line);
-    out += ",\"col\":" + std::to_string(d.span.col);
-    out += ",\"message\":";
-    AppendJsonString(&out, d.message);
-    out += ",\"hint\":";
-    AppendJsonString(&out, d.hint);
-    out += "}";
+Json AnalysisReport::ToJson(const std::string& program_name) const {
+  Json summary = Json::MakeObject();
+  summary.Set("errors", Count(error_count()));
+  summary.Set("warnings", Count(warning_count()));
+  summary.Set("diagnostics", Count(diagnostics.size()));
+  Json diags = Json::MakeArray();
+  for (const Diagnostic& d : diagnostics) {
+    Json j = Json::MakeObject();
+    j.Set("severity", Json::Str(SeverityName(d.severity)));
+    j.Set("code", Json::Str(d.code));
+    j.Set("rule", Json::Int(d.rule_index == Diagnostic::kNoRule
+                                ? -1
+                                : static_cast<int64_t>(d.rule_index)));
+    j.Set("predicate", Json::Str(d.predicate));
+    j.Set("line", Count(d.span.line));
+    j.Set("col", Count(d.span.col));
+    j.Set("message", Json::Str(d.message));
+    j.Set("hint", Json::Str(d.hint));
+    diags.Append(std::move(j));
   }
-  out += "]";
-  if (cost.present) {
-    out += ",\"cost\":{\"program_cost\":";
-    AppendJsonNumber(&out, cost.program_cost);
-    out += ",\"recursive_sccs\":" + std::to_string(cost.recursive_sccs);
-    out += ",\"warded_only_sccs\":" + std::to_string(cost.warded_only_sccs);
-    out += ",\"predicates\":[";
-    for (size_t i = 0; i < cost.predicates.size(); ++i) {
-      const CostPredicateEntry& p = cost.predicates[i];
-      if (i > 0) out += ",";
-      out += "{\"predicate\":";
-      AppendJsonString(&out, p.predicate);
-      out += ",\"lo\":";
-      AppendJsonNumber(&out, p.lo);
-      out += ",\"hi\":";
-      AppendJsonNumber(&out, p.hi);
-      out += ",\"growth\":";
-      AppendJsonString(&out, p.growth);
-      out += "}";
-    }
-    out += "],\"rules\":[";
-    for (size_t i = 0; i < cost.rules.size(); ++i) {
-      const CostRuleEntry& r = cost.rules[i];
-      if (i > 0) out += ",";
-      out += "{\"rule\":" + std::to_string(r.rule);
-      out += ",\"join_cost\":";
-      AppendJsonNumber(&out, r.join_cost);
-      out += ",\"output_rows\":";
-      AppendJsonNumber(&out, r.output_rows);
-      out += ",\"cartesian\":";
-      out += r.cartesian ? "true" : "false";
-      out += ",\"unbound_self_join\":";
-      out += r.unbound_self_join ? "true" : "false";
-      out += "}";
-    }
-    out += "]}";
+  Json doc = Json::MakeObject();
+  doc.Set("schema_version", Json::Int(1));
+  doc.Set("program", Json::Str(program_name));
+  doc.Set("summary", std::move(summary));
+  doc.Set("diagnostics", std::move(diags));
+  if (!cost.present) return doc;
+
+  Json predicates = Json::MakeArray();
+  for (const CostPredicateEntry& p : cost.predicates) {
+    Json j = Json::MakeObject();
+    j.Set("predicate", Json::Str(p.predicate));
+    j.Set("lo", Cost(p.lo));
+    j.Set("hi", Cost(p.hi));
+    j.Set("growth", Json::Str(p.growth));
+    predicates.Append(std::move(j));
   }
-  out += "}\n";
-  return out;
+  Json rules = Json::MakeArray();
+  for (const CostRuleEntry& r : cost.rules) {
+    Json j = Json::MakeObject();
+    j.Set("rule", Count(r.rule));
+    j.Set("join_cost", Cost(r.join_cost));
+    j.Set("output_rows", Cost(r.output_rows));
+    j.Set("cartesian", Json::Bool(r.cartesian));
+    j.Set("unbound_self_join", Json::Bool(r.unbound_self_join));
+    rules.Append(std::move(j));
+  }
+  Json c = Json::MakeObject();
+  c.Set("program_cost", Cost(cost.program_cost));
+  c.Set("recursive_sccs", Count(cost.recursive_sccs));
+  c.Set("warded_only_sccs", Count(cost.warded_only_sccs));
+  c.Set("predicates", std::move(predicates));
+  c.Set("rules", std::move(rules));
+  doc.Set("cost", std::move(c));
+  return doc;
 }
 
 }  // namespace vadalink::datalog::analysis

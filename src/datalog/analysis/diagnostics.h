@@ -2,7 +2,7 @@
 //
 // Every diagnostic carries a stable code, a severity, the rule it concerns
 // and a source position, so callers can render it for humans, serialise it
-// as JSON (validated against tools/lint_schema.json) or count it into
+// as JSON (validated against tools/schemas/lint.json) or count it into
 // metrics. Diagnostic code catalog (see DESIGN.md section 9):
 //
 //   VL000  error    parse error (lint CLI only: the program never reached
@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "datalog/ast.h"
 
 namespace vadalink::datalog::analysis {
@@ -107,10 +108,11 @@ struct AnalysisReport {
   ///       hint: ...
   std::string Render() const;
 
-  /// Stable single-line JSON document (schema_version 1); validated in CI
-  /// against tools/lint_schema.json. `program_name` labels the document
-  /// (usually the source file path).
-  std::string ToJson(const std::string& program_name) const;
+  /// The stable JSON document (schema_version 1); validated in CI by
+  /// tools/check_json.py against tools/schemas/lint.json. `program_name`
+  /// labels the document (usually the source file path). Cost figures are
+  /// rounded to 6 significant digits.
+  Json ToJson(const std::string& program_name) const;
 };
 
 }  // namespace vadalink::datalog::analysis

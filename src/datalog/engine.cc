@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <unordered_set>
 
 #include "common/fault_injection.h"
@@ -21,13 +20,6 @@ bool ValuesEqualCoerced(const Value& a, const Value& b) {
   if (a == b) return true;
   if (a.is_numeric() && b.is_numeric()) return a.AsNumber() == b.AsNumber();
   return false;
-}
-
-/// Renders a cost estimate for status messages ("1.2e+09", "64").
-std::string FormatCost(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
 }
 
 /// Static cost analysis of `program` seeded with the live relation sizes
@@ -1433,13 +1425,6 @@ Status Engine::Preflight(const Program& program) {
 }
 
 Status Engine::Run(const Program& program) {
-  if (options_.query_goal != nullptr) {
-    // Query-mode routing: evaluate only the goal-relevant fragment. The
-    // answers are still materialized in the database, so callers that
-    // scan relations afterwards see exactly the goal-matching facts.
-    Result<QueryReport> report = Query(program, *options_.query_goal);
-    return report.ok() ? Status::OK() : report.status();
-  }
   Status st = RunImpl(program);
   last_abort_status_ = st;  // OK after a completed run
   return st;
@@ -1471,34 +1456,15 @@ Result<QueryReport> Engine::Query(const Program& program,
     MetricAdd(options_.metrics, "engine.query.plan_us", plan_us);
   }
 
-  // Cost admission: reject over-budget goals before any evaluation burns
-  // a worker. The message carries the estimate so serving layers can
-  // surface it in the error payload.
-  if (options_.max_query_cost > 0.0 &&
-      estimated_cost > options_.max_query_cost) {
-    Status reject = Status::ResourceExhausted(
-        "query rejected by cost admission: static cost estimate " +
-        FormatCost(estimated_cost) + " exceeds max query cost " +
-        FormatCost(options_.max_query_cost));
-    last_abort_status_ = reject;
-    if (options_.metrics != nullptr) {
-      MetricAdd(options_.metrics, "engine.query.cost_rejected", 1);
-    }
-    return reject;
-  }
-
   // The rewritten program was already vetted through the source program's
   // pre-flight; its __magic_* constructs sit outside the analyzer's
   // warded fragment, so the inner run skips the gate. The goal is pinned
   // so the streaming chase never evicts the predicate the answer scan
   // below reads.
   const bool saved_preflight = options_.preflight;
-  const QueryGoal* saved_goal = options_.query_goal;
   options_.preflight = false;
-  options_.query_goal = &goal;
-  Status st = RunImpl(*query_program_);
+  Status st = RunImpl(*query_program_, goal.atom.predicate);
   options_.preflight = saved_preflight;
-  options_.query_goal = saved_goal;
   last_abort_status_ = st;
   if (!st.ok()) return st;
 
@@ -1566,7 +1532,7 @@ Status Engine::RunIncremental(const Program& program) {
   return st;
 }
 
-Status Engine::RunImpl(const Program& program) {
+Status Engine::RunImpl(const Program& program, uint32_t pinned_pred) {
   VL_FAULT_POINT("engine.run");
   program_ = &program;
   stats_ = EngineStats{};
@@ -1601,11 +1567,8 @@ Status Engine::RunImpl(const Program& program) {
   pattern_memo_ = PatternMemo();
   if (options_.streaming && !options_.trace_provenance) {
     const size_t num_preds = db_->catalog()->predicates.size();
-    const uint32_t goal_pred = options_.query_goal != nullptr
-                                   ? options_.query_goal->atom.predicate
-                                   : UINT32_MAX;
     evictable_ = ComputeEvictable(program, strat, num_preds,
-                                  options_.evict_sink != nullptr, goal_pred);
+                                  options_.evict_sink != nullptr, pinned_pred);
     sink_outputs_.assign(num_preds, false);
     if (options_.evict_sink != nullptr) {
       for (uint32_t p : program.outputs) {

@@ -85,17 +85,6 @@ struct EngineOptions {
   /// enumeration order is semantically visible (running aggregate values,
   /// labeled-null identity), so they always evaluate in compiled order.
   JoinOrder join_order = JoinOrder::kPlanned;
-  /// Non-null routes Run() through Query(): the program is magic-set
-  /// rewritten for this goal (see datalog/magic.h) before evaluation, so
-  /// the chase derives only goal-relevant facts. Not owned; must outlive
-  /// the engine calls that use it.
-  const QueryGoal* query_goal = nullptr;
-  /// Cost admission for Query(): > 0 rejects a goal with
-  /// kResourceExhausted *before* evaluation when the static cost estimate
-  /// of the (rewritten) program exceeds this bound. The error message
-  /// names the estimate and the bound, so callers (serve admission) can
-  /// surface it. 0 = no cost gate.
-  double max_query_cost = 0.0;
   /// Space-bounded streaming chase (DESIGN.md section 13). Run() releases
   /// the column storage of exhausted semi-naive delta epochs for every
   /// predicate the evictability analysis accepts (read only through its
@@ -141,9 +130,8 @@ struct QueryReport {
   size_t facts_derived = 0;
   /// Static cost estimate (analysis/cost.h program_cost) of the program
   /// the chase actually ran — the rewritten program when `rewritten`,
-  /// the pruned source program otherwise. Compared against
-  /// EngineOptions::max_query_cost for admission and exported to bench
-  /// output as the estimated-vs-actual ratio numerator.
+  /// the pruned source program otherwise. Exported to bench output as
+  /// the estimated-vs-actual ratio numerator.
   double estimated_cost = 0.0;
   /// Wall-clock microseconds spent before evaluation started: preflight,
   /// dataflow analysis, magic rewrite and cost estimation. Mirrored into
@@ -399,8 +387,10 @@ class Engine {
   Status Preflight(const Program& program);
 
   /// Bodies of Run/RunIncremental; the public wrappers capture a failing
-  /// status into last_abort_status_.
-  Status RunImpl(const Program& program);
+  /// status into last_abort_status_. The streaming chase never evicts
+  /// `pinned_pred` (Query's goal predicate, which it scans afterwards);
+  /// UINT32_MAX pins nothing.
+  Status RunImpl(const Program& program, uint32_t pinned_pred = UINT32_MAX);
   Status RunIncrementalImpl(const Program& program);
 
   Status Prepare(const Program& program);

@@ -24,7 +24,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "serve/json.h"
+#include "common/json.h"
 
 namespace vadalink::serve {
 

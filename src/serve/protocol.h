@@ -39,8 +39,8 @@
 #include <optional>
 #include <string>
 
+#include "common/json.h"
 #include "common/status.h"
-#include "serve/json.h"
 
 namespace vadalink::serve {
 

@@ -16,6 +16,13 @@ namespace vadalink::serve {
 
 namespace {
 
+/// Default thresholds of the keyed queries (a request may override them).
+/// kControlThreshold is also the threshold of core::ControlProgram(), whose
+/// control/2 fixpoint answers default-threshold `control` reads.
+constexpr double kControlThreshold = 0.5;
+constexpr double kUboThreshold = 0.25;
+constexpr double kCloseLinkThreshold = 0.2;
+
 /// Required integer param.
 Result<int64_t> ReqInt(const Json& params, const char* name) {
   const Json* v = params.Find(name);
@@ -78,7 +85,7 @@ Status ReasoningService::Init(graph::PropertyGraph graph,
     // syntax, so this cannot fail).
     datalog::Catalog probe;
     auto parsed = datalog::ParseProgram(rules_source, &probe);
-    if (options_.query_mode && parsed.ok()) {
+    if (parsed.ok()) {
       for (const datalog::Rule& r : parsed->rules) {
         for (const datalog::Atom& h : r.head) {
           if (probe.predicates.Name(h.predicate) == "control" &&
@@ -150,8 +157,7 @@ std::string ReasoningService::Handle(const Request& req,
   if (op == "metrics") {
     Json result = Json::MakeObject();
     if (metrics_ != nullptr) {
-      auto doc = Json::Parse(metrics_->ToJson());
-      result.Set("metrics", doc.ok() ? std::move(doc).value() : Json::Null());
+      result.Set("metrics", metrics_->ToJson());
     } else {
       result.Set("metrics", Json::Null());
     }
@@ -201,9 +207,9 @@ std::string ReasoningService::HandleKeyed(const Request& req,
     auto node = ReqInt(req.params, node_param);
     if (!node.ok()) return RenderError(req.id, node.status());
     key_node = node.value();
-    double fallback = req.op == "control" ? options_.control_threshold
-                      : req.op == "ubo"   ? options_.ubo_threshold
-                                          : options_.closelink_threshold;
+    double fallback = req.op == "control" ? kControlThreshold
+                      : req.op == "ubo"   ? kUboThreshold
+                                          : kCloseLinkThreshold;
     auto t = OptThreshold(req.params, fallback);
     if (!t.ok()) return RenderError(req.id, t.status());
     threshold = t.value();
@@ -260,7 +266,7 @@ Result<Json> ReasoningService::OpControl(const Request& req,
                                          bool fixpoint_route) {
   VL_ASSIGN_OR_RETURN(int64_t source, ReqInt(req.params, "source"));
   VL_ASSIGN_OR_RETURN(double threshold,
-                      OptThreshold(req.params, options_.control_threshold));
+                      OptThreshold(req.params, kControlThreshold));
   VL_RETURN_NOT_OK(ValidateNode(snap, source, "source"));
   Json ids = Json::MakeArray();
   if (fixpoint_route) {
@@ -291,7 +297,7 @@ Result<Json> ReasoningService::OpUbo(const Request& req,
                                      const SnapshotPtr& snap) {
   VL_ASSIGN_OR_RETURN(int64_t target, ReqInt(req.params, "target"));
   VL_ASSIGN_OR_RETURN(double threshold,
-                      OptThreshold(req.params, options_.ubo_threshold));
+                      OptThreshold(req.params, kUboThreshold));
   VL_RETURN_NOT_OK(ValidateNode(snap, target, "target"));
   auto owners = company::UltimateOwnersOf(
       snap->company_graph, static_cast<graph::NodeId>(target), threshold);
@@ -312,22 +318,17 @@ Result<Json> ReasoningService::OpCloseLinks(const Request& req,
                                             const SnapshotPtr& snap) {
   VL_ASSIGN_OR_RETURN(int64_t company, ReqInt(req.params, "company"));
   VL_ASSIGN_OR_RETURN(double threshold,
-                      OptThreshold(req.params, options_.closelink_threshold));
+                      OptThreshold(req.params, kCloseLinkThreshold));
   VL_RETURN_NOT_OK(ValidateNode(snap, company, "company"));
   company::CloseLinkConfig cfg;
   cfg.threshold = threshold;
   cfg.metrics = metrics_;
-  auto c = static_cast<graph::NodeId>(company);
-  // Goal-directed when query_mode is on: CloseLinksOf explores only the
-  // ownership cone around c and returns exactly the AllCloseLinks edges
-  // involving c, so the response is byte-identical either way.
-  auto links = options_.query_mode
-                   ? company::CloseLinksOf(snap->company_graph, c, cfg)
-                   : company::AllCloseLinks(snap->company_graph, cfg);
+  // Exactly the AllCloseLinks edges involving the company, found from the
+  // ownership cone around it.
+  auto links = company::CloseLinksOf(
+      snap->company_graph, static_cast<graph::NodeId>(company), cfg);
   Json arr = Json::MakeArray();
-  size_t count = 0;
   for (const auto& e : links) {
-    if (e.x != c && e.y != c) continue;
     Json l = Json::MakeObject();
     l.Set("x", Json::Int(e.x));
     l.Set("y", Json::Int(e.y));
@@ -337,11 +338,10 @@ Result<Json> ReasoningService::OpCloseLinks(const Request& req,
                         : "common_third_party"));
     if (e.via != graph::kInvalidNode) l.Set("via", Json::Int(e.via));
     arr.Append(std::move(l));
-    ++count;
   }
   Json result = Json::MakeObject();
   result.Set("links", std::move(arr));
-  result.Set("count", Json::Int(static_cast<int64_t>(count)));
+  result.Set("count", Json::Int(static_cast<int64_t>(links.size())));
   return result;
 }
 

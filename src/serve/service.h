@@ -39,24 +39,12 @@
 namespace vadalink::serve {
 
 struct ServiceOptions {
-  /// Default thresholds for the keyed queries (overridable per request).
-  double control_threshold = 0.5;
-  double ubo_threshold = 0.25;
-  double closelink_threshold = 0.2;
   /// Result-cache capacity in entries; 0 disables caching (and with it
   /// stale degradation).
   size_t cache_entries = 1024;
   /// Enables the test-only ops ("sleep") used by the chaos and overload
   /// tests to occupy workers deterministically. Never enabled by the CLI.
   bool enable_test_ops = false;
-  /// Routes cold keyed queries to the rules program and goal-directed
-  /// evaluators: `control` misses at the default threshold read the
-  /// program's control/2 relation from the fixpoint published with the
-  /// snapshot (when the program defines control/2; nothing is chased per
-  /// request), and `closelinks` misses use the goal-directed CloseLinksOf
-  /// instead of filtering AllCloseLinks. Off = the compiled whole-graph
-  /// evaluators for every keyed query.
-  bool query_mode = true;
 };
 
 class ReasoningService {
@@ -116,8 +104,8 @@ class ReasoningService {
   std::mutex write_mu_;              // serialises ingest/reason/query(db)
   core::KnowledgeGraph kg_;          // resident write-side state
   bool has_rules_ = false;
-  // query_mode and the program has a control/2 rule head: snapshots carry
-  // the control table and default-threshold control reads use it.
+  // The program has a control/2 rule head: snapshots carry the control
+  // table and default-threshold control reads use it.
   bool control_fixpoint_ = false;
   uint64_t next_version_ = 1;        // version the next publish gets
   SnapshotStore store_;

@@ -1,4 +1,5 @@
-// common/: Status/Result, RNG, string utilities, hashing, CSV codec.
+// common/: Status/Result, RNG, string utilities, hashing, CSV and JSON
+// codecs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include "common/csv.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -353,6 +355,60 @@ TEST(CsvTest, FileRoundTrip) {
 
 TEST(CsvTest, MissingFileFails) {
   EXPECT_FALSE(ReadCsvFile("/nonexistent/definitely/not.csv").ok());
+}
+
+// ---- Json writer -----------------------------------------------------------
+
+TEST(JsonCodecTest, DoublesRenderShortestRoundTrip) {
+  EXPECT_EQ(Json::Double(0.1).Dump(), "0.1");
+  EXPECT_EQ(Json::Double(1.5).Dump(), "1.5");
+  const double third = 1.0 / 3;
+  auto back = Json::Parse(Json::Double(third).Dump());
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->is_double());
+  EXPECT_EQ(back->AsDouble(), third);  // bit-exact
+  // Beyond int64 range the value stays a double.
+  back = Json::Parse(Json::Double(1e21).Dump());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->AsDouble(), 1e21);
+}
+
+TEST(JsonCodecTest, NonFiniteDoublesRenderAsNull) {
+  EXPECT_EQ(Json::Double(std::nan("")).Dump(), "null");
+  EXPECT_EQ(Json::Double(INFINITY).Dump(), "null");
+  EXPECT_EQ(Json::Double(-INFINITY).Dump(), "null");
+}
+
+TEST(JsonCodecTest, KeysAreSortedInNestedObjects) {
+  Json inner = Json::MakeObject();
+  inner.Set("zeta", Json::Int(1));
+  inner.Set("alpha", Json::Int(2));
+  Json list = Json::MakeArray();
+  list.Append(inner);
+  Json outer = Json::MakeObject();
+  outer.Set("b", std::move(list));
+  outer.Set("a", std::move(inner));
+  EXPECT_EQ(outer.Dump(),
+            R"({"a":{"alpha":2,"zeta":1},"b":[{"alpha":2,"zeta":1}]})");
+}
+
+TEST(JsonCodecTest, StringsEscapeQuotesBackslashesAndControls) {
+  EXPECT_EQ(Json::Str("a\"b\\c\x01").Dump(), R"("a\"b\\c\u0001")");
+}
+
+TEST(JsonCodecTest, WriteJsonFileAppendsOneNewline) {
+  std::string path = ::testing::TempDir() + "/vl_json_test.json";
+  Json doc = Json::MakeObject();
+  doc.Set("k", Json::Double(0.25));
+  ASSERT_TRUE(WriteJsonFile(path, doc).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[64] = {};
+  size_t n = std::fread(buf, 1, sizeof(buf), f);
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(std::string(buf, n), "{\"k\":0.25}\n");
+  EXPECT_FALSE(WriteJsonFile("/nonexistent/dir/x.json", doc).ok());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // datalog/analysis: the static program analyzer — diagnostic codes, rule
-// indices and source spans are a stable contract (tools/lint_schema.json),
+// indices and source spans are a stable contract (tools/schemas/lint.json),
 // so these tests pin them exactly.
 #include <gtest/gtest.h>
 
@@ -337,8 +337,71 @@ TEST_F(AnalysisTest, JsonIsByteStableAcrossRuns) {
   auto program2 = ParseProgram(src, &cat2);
   ASSERT_TRUE(program2.ok());
   auto r2 = AnalyzeProgram(*program2, cat2);
-  EXPECT_EQ(r1.ToJson("x.vada"), r2.ToJson("x.vada"));
-  EXPECT_NE(r1.ToJson("x.vada").find("\"schema_version\":1"),
+  EXPECT_EQ(r1.ToJson("x.vada").Dump(), r2.ToJson("x.vada").Dump());
+  EXPECT_EQ(r1.ToJson("x.vada").Find("schema_version")->AsInt(), 1);
+}
+
+TEST(AnalysisReportJsonTest, ParsesBackToReportValues) {
+  AnalysisReport report;
+  Diagnostic error;
+  error.severity = Severity::kError;
+  error.code = "VL010";
+  error.rule_index = 2;
+  error.predicate = "p";
+  error.span = SourceSpan{4, 3};
+  error.message = "no \"ward\"\n";
+  error.hint = "split the rule";
+  report.diagnostics.push_back(error);
+  Diagnostic program_level;  // a warning with no rule and no position
+  program_level.code = "VL030";
+  program_level.message = "unused";
+  report.diagnostics.push_back(program_level);
+  report.cost.present = true;
+  report.cost.program_cost = 1234567.89;
+  report.cost.recursive_sccs = 1;
+  report.cost.warded_only_sccs = 0;
+  report.cost.predicates.push_back({"tc", 0.0, 1e15, "linear_in_edb"});
+  report.cost.rules.push_back({3, 0.1234567, 64.0, true, false});
+
+  auto doc = Json::Parse(report.ToJson("x.vada").Dump());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->Find("program")->AsString(), "x.vada");
+  const Json* summary = doc->Find("summary");
+  EXPECT_EQ(summary->Find("errors")->AsInt(), 1);
+  EXPECT_EQ(summary->Find("warnings")->AsInt(), 1);
+  EXPECT_EQ(summary->Find("diagnostics")->AsInt(), 2);
+  const Json::Array& diags = doc->Find("diagnostics")->AsArray();
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].Find("severity")->AsString(), "error");
+  EXPECT_EQ(diags[0].Find("code")->AsString(), "VL010");
+  EXPECT_EQ(diags[0].Find("rule")->AsInt(), 2);
+  EXPECT_EQ(diags[0].Find("predicate")->AsString(), "p");
+  EXPECT_EQ(diags[0].Find("line")->AsInt(), 4);
+  EXPECT_EQ(diags[0].Find("col")->AsInt(), 3);
+  EXPECT_EQ(diags[0].Find("message")->AsString(), error.message);
+  EXPECT_EQ(diags[0].Find("hint")->AsString(), "split the rule");
+  EXPECT_EQ(diags[1].Find("severity")->AsString(), "warning");
+  EXPECT_EQ(diags[1].Find("rule")->AsInt(), -1);
+  EXPECT_EQ(diags[1].Find("line")->AsInt(), 0);
+
+  // Cost figures carry 6 significant digits.
+  const Json* cost = doc->Find("cost");
+  ASSERT_NE(cost, nullptr);
+  EXPECT_EQ(cost->Find("program_cost")->AsDouble(), 1234570.0);
+  EXPECT_EQ(cost->Find("recursive_sccs")->AsInt(), 1);
+  EXPECT_EQ(cost->Find("warded_only_sccs")->AsInt(), 0);
+  const Json& pred = cost->Find("predicates")->AsArray().at(0);
+  EXPECT_EQ(pred.Find("predicate")->AsString(), "tc");
+  EXPECT_EQ(pred.Find("lo")->AsDouble(), 0.0);
+  EXPECT_EQ(pred.Find("hi")->AsDouble(), 1e15);
+  EXPECT_EQ(pred.Find("growth")->AsString(), "linear_in_edb");
+  const Json& rule = cost->Find("rules")->AsArray().at(0);
+  EXPECT_EQ(rule.Find("rule")->AsInt(), 3);
+  EXPECT_EQ(rule.Find("join_cost")->AsDouble(), 0.123457);
+  EXPECT_EQ(rule.Find("output_rows")->AsDouble(), 64.0);
+  EXPECT_TRUE(rule.Find("cartesian")->AsBool());
+  EXPECT_FALSE(rule.Find("unbound_self_join")->AsBool());
+  EXPECT_NE(report.ToJson("x.vada").Dump().find("\"join_cost\":0.123457,"),
             std::string::npos);
 }
 

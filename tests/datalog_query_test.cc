@@ -529,10 +529,8 @@ TEST(EngineOptionsQueryGoal, RunRoutesThroughQuery) {
       "control(" + std::to_string(SomeSource(g)) + ", X)";
   auto goal = ParseQueryGoal(goal_text, &catalog);
   ASSERT_TRUE(goal.ok());
-  EngineOptions opts;
-  opts.query_goal = &*goal;
-  Engine engine(&db, opts);
-  ASSERT_TRUE(engine.Run(*program).ok());
+  Engine engine(&db, {});
+  ASSERT_TRUE(engine.Query(*program, *goal).ok());
   // The database holds the goal-matching control facts...
   Tuples via_run;
   for (datalog::RowRef row : db.Scan(goal->atom.predicate)) {

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/run_context.h"
 
@@ -170,37 +171,82 @@ TEST(MetricsJsonTest, IdenticalRegistriesEmitIdenticalBytes) {
   PopulateFixture(&b);
   // Wall-clock differs between the two runs; the default document must
   // not — that is the --metrics-json byte-stability contract.
-  EXPECT_EQ(a.ToJson(), b.ToJson());
+  EXPECT_EQ(a.ToJson().Dump(), b.ToJson().Dump());
+}
+
+/// The registry's document, rendered and parsed back.
+Json RoundTrip(const MetricsRegistry& reg,
+               const MetricsJsonOptions& options = {}) {
+  std::string text = reg.ToJson(options).Dump();
+  auto doc = Json::Parse(text);
+  EXPECT_TRUE(doc.ok()) << text;
+  return doc.ok() ? std::move(doc).value() : Json();
 }
 
 TEST(MetricsJsonTest, SchemaAndCumulativeBuckets) {
   MetricsRegistry reg;
   PopulateFixture(&reg);
-  std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
-  for (const char* key :
-       {"\"counters\"", "\"gauges\"", "\"histograms\"", "\"spans\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
+  Json doc = RoundTrip(reg);
+  ASSERT_NE(doc.Find("schema_version"), nullptr);
+  EXPECT_EQ(doc.Find("schema_version")->AsInt(), 1);
+  for (const char* key : {"counters", "gauges", "histograms", "spans"}) {
+    ASSERT_NE(doc.Find(key), nullptr) << key;
+    EXPECT_TRUE(doc.Find(key)->is_object()) << key;
   }
-  EXPECT_NE(json.find("\"engine.facts_derived\":42"), std::string::npos);
   // Cumulative buckets of {1,3,3,9}: bucket1=1, bucket2=3, bucket4=4 ...
   // rendered cumulatively as 0,1,3,3,4,4,...,4 — monotone by construction.
-  EXPECT_NE(json.find("\"linkage.block.size\":{\"count\":4,\"sum\":16"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"buckets\":[0,1,3,3,4,4"), std::string::npos) << json;
+  const Json* h = doc.Find("histograms")->Find("linkage.block.size");
+  ASSERT_NE(h, nullptr) << doc.Dump();
+  EXPECT_EQ(h->Find("count")->AsInt(), 4);
+  EXPECT_EQ(h->Find("sum")->AsInt(), 16);
+  std::vector<int64_t> buckets;
+  for (const Json& b : h->Find("buckets")->AsArray()) {
+    buckets.push_back(b.AsInt());
+  }
+  std::vector<int64_t> expected(MetricsHistogram::kBuckets, 4);
+  expected[0] = 0;
+  expected[1] = 1;
+  expected[2] = 3;
+  expected[3] = 3;
+  EXPECT_EQ(buckets, expected);
+}
+
+TEST(MetricsJsonTest, DocumentParsesBackToRegistryValues) {
+  MetricsRegistry reg;
+  PopulateFixture(&reg);
+  reg.Gauge("embed.ratio")->Set(1.0 / 3);
+  Json doc = RoundTrip(reg);
+  const Json* counters = doc.Find("counters");
+  ASSERT_EQ(counters->size(), 2u);
+  EXPECT_EQ(counters->Find("engine.facts_derived")->AsInt(), 42);
+  EXPECT_EQ(counters->Find("linkage.pairs.scored")->AsInt(), 7);
+  const Json* gauges = doc.Find("gauges");
+  EXPECT_EQ(gauges->Find("embed.kmeans.inertia")->AsDouble(), 1.5);
+  EXPECT_EQ(gauges->Find("embed.ratio")->AsDouble(), 1.0 / 3);  // exact
+  const Json* spans = doc.Find("spans");
+  ASSERT_EQ(spans->size(), 2u);
+  for (const char* path : {"augment", "augment/embed"}) {
+    const Json* span = spans->Find(path);
+    ASSERT_NE(span, nullptr) << path;
+    EXPECT_EQ(span->Find("count")->AsInt(), 1) << path;
+    for (const char* field : {"deadline_hits", "budget_trips",
+                              "cancellations"}) {
+      EXPECT_EQ(span->Find(field)->AsInt(), 0) << path << " " << field;
+    }
+    EXPECT_EQ(span->Find("us"), nullptr) << path;  // timings are opt-in
+  }
 }
 
 TEST(MetricsJsonTest, TimingsAreOptIn) {
   MetricsRegistry reg;
   PopulateFixture(&reg);
   reg.Histogram("augment.us")->Record(1234);
-  std::string plain = reg.ToJson();
+  std::string plain = reg.ToJson().Dump();
   EXPECT_EQ(plain.find(".us"), std::string::npos);
   EXPECT_EQ(plain.find("\"us\":"), std::string::npos);
   MetricsJsonOptions with_timings;
   with_timings.include_timings = true;
-  std::string timed = reg.ToJson(with_timings);
+  std::string timed = reg.ToJson(with_timings).Dump();
   EXPECT_NE(timed.find("augment.us"), std::string::npos);
   EXPECT_NE(timed.find("\"us\":"), std::string::npos);
 }
@@ -209,11 +255,11 @@ TEST(MetricsJsonTest, WriteJsonFileRoundTrips) {
   MetricsRegistry reg;
   PopulateFixture(&reg);
   std::string path = ::testing::TempDir() + "metrics_test_doc.json";
-  ASSERT_TRUE(reg.WriteJsonFile(path).ok());
+  ASSERT_TRUE(WriteJsonFile(path, reg.ToJson()).ok());
   std::ifstream in(path);
   std::ostringstream ss;
   ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), reg.ToJson() + "\n");
+  EXPECT_EQ(ss.str(), reg.ToJson().Dump() + "\n");
   std::remove(path.c_str());
 }
 

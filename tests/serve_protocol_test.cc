@@ -5,9 +5,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "serve/admission.h"
 #include "serve/cache.h"
-#include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve/snapshot.h"
 

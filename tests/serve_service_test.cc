@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/run_context.h"
+#include "company/close_link.h"
+#include "company/control.h"
 #include "core/mapping.h"
 #include "core/vadalog_programs.h"
 #include "datalog/magic.h"
@@ -344,11 +347,12 @@ TEST_F(ServiceTest, SleepOpIsTestGated) {
   EXPECT_EQ(resp.Find("error")->Find("code")->AsString(), "Unsupported");
 }
 
-// ---- query mode (engine-backed keyed queries) -----------------------------
+// ---- the fixpoint and compiled routes of keyed queries ---------------------
 
-// The cache key must separate the evaluation modes: the engine route
-// answers with sorted tuples, the compiled route in discovery order, so a
-// mode flip may change the result bytes for the same (op, node, threshold).
+// The cache key must separate the two `control` routes: the fixpoint
+// answers with sorted tuples, the compiled route in discovery order, so an
+// explicit default threshold may change the result bytes for the same
+// (op, node, threshold).
 TEST(KeyedCacheKeyTest, ModeSuffixSeparatesEngineAndCompiledEntries) {
   std::string q = ReasoningService::KeyedCacheKey("control", 7, 0.5, true);
   std::string c = ReasoningService::KeyedCacheKey("control", 7, 0.5, false);
@@ -358,38 +362,40 @@ TEST(KeyedCacheKeyTest, ModeSuffixSeparatesEngineAndCompiledEntries) {
 }
 
 TEST_F(ServiceTest, EngineQueryModeMatchesCompiledControlAnswers) {
-  // Rules that define control/2 (the paper's Algorithm 5 at the service's
-  // default 0.5 threshold) switch the cold `control` path to Engine::Query.
-  auto sorted_ids = [](const Json& result) {
-    std::vector<int64_t> ids;
-    for (const Json& v : result.Find("controlled")->AsArray()) {
-      ids.push_back(v.AsInt());
-    }
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
-  std::vector<std::vector<int64_t>> by_mode;
-  for (bool query_mode : {true, false}) {
-    ServiceOptions opts;
-    opts.query_mode = query_mode;
-    ReasoningService svc(opts, &metrics_);
-    ASSERT_TRUE(
-        svc.Init(TinyRegister(), core::ControlProgram(0.5)).ok());
+  // Rules that define control/2 (the paper's Algorithm 5 at the default
+  // 0.5 threshold) switch cold default-threshold `control` reads to the
+  // published fixpoint; its answers are the compiled ControlledBy's.
+  graph::PropertyGraph g = TinyRegister();
+  auto cg = company::CompanyGraph::FromPropertyGraph(g);
+  ASSERT_TRUE(cg.ok());
+  ReasoningService svc(ServiceOptions{}, &metrics_);
+  ASSERT_TRUE(svc.Init(g, core::ControlProgram(0.5)).ok());
+  size_t controlled = 0;
+  for (int64_t source = 0; source < 4; ++source) {
     Json params = Json::MakeObject();
-    params.Set("source", Json::Int(0));
+    params.Set("source", Json::Int(source));
     Json resp = ParseLine(svc.Handle(MakeReq("control", params), nullptr));
     ASSERT_TRUE(resp.Find("ok")->AsBool()) << resp.Dump();
-    EXPECT_EQ(resp.Find("result")->Find("count")->AsInt(), 2);
-    by_mode.push_back(sorted_ids(*resp.Find("result")));
+    std::vector<int64_t> served;
+    for (const Json& v : resp.Find("result")->Find("controlled")->AsArray()) {
+      served.push_back(v.AsInt());
+    }
+    std::vector<int64_t> compiled;
+    for (graph::NodeId n : company::ControlledBy(
+             *cg, static_cast<graph::NodeId>(source), 0.5)) {
+      compiled.push_back(static_cast<int64_t>(n));
+    }
+    std::sort(compiled.begin(), compiled.end());
+    EXPECT_EQ(served, compiled) << "source " << source;  // ids ascending
+    controlled += served.size();
   }
-  EXPECT_EQ(by_mode[0], by_mode[1]);  // engine == compiled, as sets
-  // The engine route ran and is visible in the metrics.
-  EXPECT_GE(metrics_.CounterValue("serve.query.engine"), 1);
+  EXPECT_EQ(controlled, 3u);  // P0 -> {C1, C2}, C1 -> {C2}
+  // Every read was a table lookup.
+  EXPECT_EQ(metrics_.CounterValue("serve.query.engine"), 4u);
 }
 
 TEST_F(ServiceTest, ExplicitThresholdPinsControlToCompiledPath) {
-  ServiceOptions opts;  // query_mode defaults to true
-  ReasoningService svc(opts, &metrics_);
+  ReasoningService svc(ServiceOptions{}, &metrics_);
   ASSERT_TRUE(svc.Init(TinyRegister(), core::ControlProgram(0.5)).ok());
   uint64_t engine_before = metrics_.CounterValue("serve.query.engine");
   Json params = Json::MakeObject();
@@ -404,19 +410,48 @@ TEST_F(ServiceTest, ExplicitThresholdPinsControlToCompiledPath) {
 }
 
 TEST_F(ServiceTest, QueryModeServesCloseLinksIdentically) {
-  std::vector<std::string> dumps;
-  for (bool query_mode : {true, false}) {
-    ServiceOptions opts;
-    opts.query_mode = query_mode;
-    ReasoningService svc(opts, &metrics_);
-    ASSERT_TRUE(svc.Init(TinyRegister(), "").ok());
+  // Cold `closelinks` reads run the goal-directed CloseLinksOf; they must
+  // answer exactly the whole-graph AllCloseLinks edges involving the key,
+  // in the same order.
+  graph::PropertyGraph g = TinyRegister();
+  auto cg = company::CompanyGraph::FromPropertyGraph(g);
+  ASSERT_TRUE(cg.ok());
+  const std::vector<company::CloseLinkEdge> all =
+      company::AllCloseLinks(*cg, company::CloseLinkConfig{});
+  using Link = std::tuple<int64_t, int64_t, std::string, int64_t>;
+  InitPlain();
+  size_t links = 0;
+  for (int64_t c = 0; c < 4; ++c) {
     Json params = Json::MakeObject();
-    params.Set("company", Json::Int(1));
-    Json resp = ParseLine(svc.Handle(MakeReq("closelinks", params), nullptr));
+    params.Set("company", Json::Int(c));
+    Json resp =
+        ParseLine(service_->Handle(MakeReq("closelinks", params), nullptr));
     ASSERT_TRUE(resp.Find("ok")->AsBool()) << resp.Dump();
-    dumps.push_back(resp.Find("result")->Dump());
+    std::vector<Link> served;
+    for (const Json& l : resp.Find("result")->Find("links")->AsArray()) {
+      const Json* via = l.Find("via");
+      served.emplace_back(l.Find("x")->AsInt(), l.Find("y")->AsInt(),
+                          l.Find("reason")->AsString(),
+                          via == nullptr ? -1 : via->AsInt());
+    }
+    std::vector<Link> expected;
+    for (const company::CloseLinkEdge& e : all) {
+      if (static_cast<int64_t>(e.x) != c && static_cast<int64_t>(e.y) != c) {
+        continue;
+      }
+      expected.emplace_back(
+          e.x, e.y,
+          e.reason == company::CloseLinkReason::kDirectOwnership
+              ? "ownership"
+              : "common_third_party",
+          e.via == graph::kInvalidNode ? -1 : static_cast<int64_t>(e.via));
+    }
+    EXPECT_EQ(served, expected) << "company " << c;
+    EXPECT_EQ(resp.Find("result")->Find("count")->AsInt(),
+              static_cast<int64_t>(expected.size()));
+    links += served.size();
   }
-  EXPECT_EQ(dumps[0], dumps[1]);  // byte-identical responses
+  EXPECT_EQ(links, 2u);  // C1-C2, read once from each end
 }
 
 // ---- the fixpoint route against a fresh goal-directed query ----------------

@@ -104,8 +104,8 @@ Status EmitMetrics(const core::PipelineOptions& opts) {
   if (!opts.metrics_json_path.empty()) {
     MetricsJsonOptions json_opts;
     json_opts.include_timings = opts.metrics_wall;
-    VL_RETURN_NOT_OK(
-        opts.metrics->WriteJsonFile(opts.metrics_json_path, json_opts));
+    VL_RETURN_NOT_OK(WriteJsonFile(opts.metrics_json_path,
+                                   opts.metrics->ToJson(json_opts)));
   }
   return Status::OK();
 }
@@ -409,7 +409,7 @@ int CmdReason(const Flags& flags) {
 
 /// Static analysis of a Vadalog program without executing it. Human
 /// diagnostics go to stdout; '--json -' / '--json FILE' emits the stable
-/// JSON document (tools/lint_schema.json) instead. Exit 0 = no errors
+/// JSON document (tools/schemas/lint.json) instead. Exit 0 = no errors
 /// (warnings allowed), 1 = errors or I/O failure.
 int CmdLint(const Flags& flags) {
   std::string program_path = flags.Get("program", "");
@@ -448,15 +448,12 @@ int CmdLint(const Flags& flags) {
   }
 
   if (flags.Has("json")) {
-    std::string doc = report.ToJson(program_path);
+    Json doc = report.ToJson(program_path);
     std::string target = flags.Get("json", "-");
     if (target == "-") {
-      std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(target, std::ios::binary);
-      if (!out || !(out << doc) || !out.flush()) {
-        return Fail(Status::IoError("cannot write " + target));
-      }
+      std::printf("%s\n", doc.Dump().c_str());
+    } else if (Status st = WriteJsonFile(target, doc); !st.ok()) {
+      return Fail(st);
     }
   } else {
     std::string rendered = report.Render();
@@ -528,7 +525,6 @@ int CmdServe(const Flags& flags) {
   serve::ServiceOptions service_opts;
   service_opts.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
-  service_opts.query_mode = flags.GetInt("query-mode", 1) != 0;
   serve::ServerOptions server_opts;
   server_opts.host = flags.Get("host", "127.0.0.1");
   server_opts.port = static_cast<int>(flags.GetInt("port", 7411));
@@ -557,7 +553,8 @@ int CmdServe(const Flags& flags) {
   server.Stop();
   std::string metrics_path = flags.Get("metrics-json", "");
   if (!metrics_path.empty()) {
-    if (Status st = metrics.WriteJsonFile(metrics_path, {}); !st.ok()) {
+    if (Status st = WriteJsonFile(metrics_path, metrics.ToJson());
+        !st.ok()) {
       return Fail(st);
     }
   }
@@ -589,7 +586,6 @@ commands:
   serve       --in BASE [--program FILE.vada] [--host H] [--port P]
               [--max-inflight N] [--queue-depth N] [--request-deadline-ms MS]
               [--cache-entries N] [--idle-timeout-ms MS] [--metrics-json FILE]
-              [--query-mode 0|1]
 
 BASE refers to the CSV pair BASE_nodes.csv / BASE_edges.csv.
 
@@ -605,8 +601,9 @@ sequential outputs byte for byte.
 
 'lint' runs the static analyzer (safety, wardedness, stratification,
 hygiene; see DESIGN.md section 9) without executing the program. Human
-diagnostics go to stdout; --json emits the stable JSON document
-(tools/lint_schema.json) to stdout ('-') or a file. Exit 0 = clean or
+diagnostics go to stdout; --json emits the stable JSON document to
+stdout ('-') or a file; 'python3 tools/check_json.py
+tools/schemas/lint.json FILE' validates it. Exit 0 = clean or
 warnings only, 1 = errors. --cost 1 adds the static cost & termination
 pass (DESIGN.md section 14): VL04x cost lints, VL05x termination notes
 and a "cost" block (cardinality intervals, per-rule estimates) in the
@@ -617,7 +614,9 @@ JSON document; --cost-budget sets the VL042 per-rule output budget
 histograms, span tree) as one stable-schema JSON document; --trace 1
 prints the human-readable span tree to stderr. The default document
 omits wall-clock timings, so it is byte-stable run-to-run at a fixed
-seed with threads=1; --metrics-wall 1 opts timings in.
+seed with threads=1; --metrics-wall 1 opts timings in. 'python3
+tools/check_json.py tools/schemas/metrics_augment.json FILE' validates
+an 'augment' document (metrics_reason.json a 'reason' one).
 
 'serve' answers newline-delimited JSON requests over TCP (one object per
 line; see DESIGN.md section 10 for the protocol): health, version,
@@ -627,12 +626,10 @@ bounds concurrent evaluations, --queue-depth the admission queue (a full
 queue sheds with ResourceExhausted + retry_after_ms),
 --request-deadline-ms the default/maximum per-request deadline
 (deadline-busting hot queries degrade to the cached answer flagged
-"stale": true), --cache-entries the result cache (0 disables).
---query-mode 1 (default) answers cold 'control' reads without an explicit
-threshold from the program's control/2 relation, as of the fixpoint
-published with the current graph version (when --program defines it;
-nothing is chased per request), and cold 'closelinks' reads
-goal-directedly; 0 keeps the compiled whole-graph evaluators.
+"stale": true), --cache-entries the result cache (0 disables). When
+--program defines control/2, cold 'control' reads without an explicit
+threshold answer from that relation, as of the fixpoint published with
+the current graph version (nothing is chased per request).
 
 'reason' with --query 'goal(args)' (a parenthesised atom, constants
 binding arguments) runs the goal-directed query path instead of a full
@@ -708,7 +705,7 @@ int main(int argc, char** argv) {
   if (cmd == "serve") {
     return accept({"in", "program", "host", "port", "max-inflight",
                    "queue-depth", "request-deadline-ms", "cache-entries",
-                   "idle-timeout-ms", "metrics-json", "query-mode"})
+                   "idle-timeout-ms", "metrics-json"})
                ? CmdServe(flags)
                : 1;
   }
