@@ -1453,7 +1453,7 @@ Result<QueryReport> Engine::Query(const Program& program,
           std::chrono::steady_clock::now() - plan_start)
           .count());
   if (options_.metrics != nullptr) {
-    MetricAdd(options_.metrics, "engine.query.plan_us", plan_us);
+    MetricRecord(options_.metrics, "engine.query.plan.us", plan_us);
   }
 
   // The rewritten program was already vetted through the source program's

@@ -135,7 +135,7 @@ struct QueryReport {
   double estimated_cost = 0.0;
   /// Wall-clock microseconds spent before evaluation started: preflight,
   /// dataflow analysis, magic rewrite and cost estimation. Mirrored into
-  /// the "engine.query.plan_us" counter.
+  /// the "engine.query.plan.us" histogram.
   uint64_t plan_us = 0;
   /// Goal-matching tuples of the goal predicate, sorted. Exactly equal to
   /// the goal-matching subset of the full-saturation fact set.

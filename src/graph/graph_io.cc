@@ -11,8 +11,7 @@ namespace vadalink::graph {
 namespace {
 
 // Properties are emitted in sorted key order so output is deterministic.
-void AppendProperties(const PropertyMap& props,
-                      std::vector<std::string>* row) {
+void AppendProperties(const auto& props, std::vector<std::string>* row) {
   std::map<std::string, const PropertyValue*> sorted;
   for (const auto& [k, v] : props) sorted[k] = &v;
   for (const auto& [k, v] : sorted) {
@@ -20,8 +19,10 @@ void AppendProperties(const PropertyMap& props,
   }
 }
 
+// Decodes the `key=value` cells from `start` on and passes each to `set`.
+template <typename SetFn>
 Status ParseProperties(const std::vector<std::string>& row, size_t start,
-                       PropertyMap* out) {
+                       SetFn&& set) {
   for (size_t i = start; i < row.size(); ++i) {
     const std::string& cell = row[i];
     if (cell.empty()) continue;
@@ -31,7 +32,7 @@ Status ParseProperties(const std::vector<std::string>& row, size_t start,
     }
     auto value = PropertyValue::Decode(cell.substr(eq + 1));
     if (!value.ok()) return value.status();
-    (*out)[cell.substr(0, eq)] = std::move(value).value();
+    set(cell.substr(0, eq), std::move(value).value());
   }
   return Status::OK();
 }
@@ -109,11 +110,11 @@ Result<PropertyGraph> LoadGraphCsv(const std::string& nodes_path,
                         std::to_string(g.node_count()) + ", got " + row[0]));
     }
     NodeId n = g.AddNode(row[1]);
-    PropertyMap props;
-    if (Status st = ParseProperties(row, 2, &props); !st.ok()) {
-      return AtLine(nodes_path, line, st);
-    }
-    for (auto& [k, v] : props) g.SetNodeProperty(n, k, std::move(v));
+    Status st = ParseProperties(row, 2, [&](const std::string& k,
+                                            PropertyValue v) {
+      g.SetNodeProperty(n, k, std::move(v));
+    });
+    if (!st.ok()) return AtLine(nodes_path, line, st);
   }
   for (size_t r = 0; r < edge_doc.rows.size(); ++r) {
     const auto& row = edge_doc.rows[r];
@@ -131,11 +132,11 @@ Result<PropertyGraph> LoadGraphCsv(const std::string& nodes_path,
     if (!dst.ok()) return AtLine(edges_path, line, dst.status());
     auto e = g.AddEdge(*src, *dst, row[3]);
     if (!e.ok()) return AtLine(edges_path, line, e.status());
-    PropertyMap props;
-    if (Status st = ParseProperties(row, 4, &props); !st.ok()) {
-      return AtLine(edges_path, line, st);
-    }
-    for (auto& [k, v] : props) g.SetEdgeProperty(*e, k, std::move(v));
+    Status st = ParseProperties(row, 4, [&](const std::string& k,
+                                            PropertyValue v) {
+      g.SetEdgeProperty(*e, k, std::move(v));
+    });
+    if (!st.ok()) return AtLine(edges_path, line, st);
   }
   return g;
 }

@@ -6,21 +6,53 @@ namespace vadalink::graph {
 
 const PropertyValue PropertyGraph::kNullValue{};
 
-NodeId PropertyGraph::AddNode(std::string label) {
+PropertyGraph::SymbolId PropertyGraph::Intern(const std::string& name) {
+  auto [it, added] =
+      symbol_ids_.try_emplace(name, static_cast<SymbolId>(symbols_.size()));
+  if (added) symbols_.push_back(name);
+  return it->second;
+}
+
+PropertyGraph::SymbolId PropertyGraph::Lookup(const std::string& name) const {
+  auto it = symbol_ids_.find(name);
+  return it == symbol_ids_.end() ? kNoSymbol : it->second;
+}
+
+void PropertyGraph::Set(std::vector<Property>* props, SymbolId key,
+                        PropertyValue value) {
+  for (Property& p : *props) {
+    if (p.key == key) {
+      p.value = std::move(value);
+      return;
+    }
+  }
+  props->push_back(Property{key, std::move(value)});
+}
+
+const PropertyValue& PropertyGraph::Find(const std::vector<Property>& props,
+                                         const std::string& key) const {
+  const SymbolId id = Lookup(key);
+  for (const Property& p : props) {
+    if (p.key == id) return p.value;
+  }
+  return kNullValue;
+}
+
+NodeId PropertyGraph::AddNode(const std::string& label) {
   NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(Node{std::move(label), {}});
+  nodes_.push_back(Node{Intern(label), {}});
   out_.emplace_back();
   in_.emplace_back();
   return id;
 }
 
 Result<EdgeId> PropertyGraph::AddEdge(NodeId src, NodeId dst,
-                                      std::string label) {
+                                      const std::string& label) {
   if (!IsValidNode(src) || !IsValidNode(dst)) {
     return Status::InvalidArgument("AddEdge: endpoint out of range");
   }
   EdgeId id = static_cast<EdgeId>(edges_.size());
-  edges_.push_back(Edge{src, dst, std::move(label), {}, false});
+  edges_.push_back(Edge{src, dst, Intern(label), false, {}});
   out_[src].push_back(id);
   in_[dst].push_back(id);
   ++live_edge_count_;
@@ -54,39 +86,20 @@ void PropertyGraph::Reserve(size_t n, size_t m) {
 
 void PropertyGraph::SetNodeProperty(NodeId n, const std::string& key,
                                     PropertyValue value) {
-  nodes_[n].properties[key] = std::move(value);
+  Set(&nodes_[n].properties, Intern(key), std::move(value));
 }
 
 void PropertyGraph::SetEdgeProperty(EdgeId e, const std::string& key,
                                     PropertyValue value) {
-  edges_[e].properties[key] = std::move(value);
-}
-
-const PropertyValue& PropertyGraph::GetNodeProperty(
-    NodeId n, const std::string& key) const {
-  auto it = nodes_[n].properties.find(key);
-  return it == nodes_[n].properties.end() ? kNullValue : it->second;
-}
-
-const PropertyValue& PropertyGraph::GetEdgeProperty(
-    EdgeId e, const std::string& key) const {
-  auto it = edges_[e].properties.find(key);
-  return it == edges_[e].properties.end() ? kNullValue : it->second;
-}
-
-bool PropertyGraph::HasNodeProperty(NodeId n, const std::string& key) const {
-  return nodes_[n].properties.count(key) > 0;
-}
-
-bool PropertyGraph::HasEdgeProperty(EdgeId e, const std::string& key) const {
-  return edges_[e].properties.count(key) > 0;
+  Set(&edges_[e].properties, Intern(key), std::move(value));
 }
 
 std::vector<NodeId> PropertyGraph::NodesWithLabel(
     const std::string& label) const {
+  const SymbolId id = Lookup(label);
   std::vector<NodeId> out;
   for (NodeId n = 0; n < nodes_.size(); ++n) {
-    if (nodes_[n].label == label) out.push_back(n);
+    if (nodes_[n].label == id) out.push_back(n);
   }
   return out;
 }
@@ -94,8 +107,9 @@ std::vector<NodeId> PropertyGraph::NodesWithLabel(
 EdgeId PropertyGraph::FindEdge(NodeId src, NodeId dst,
                                const std::string& label) const {
   if (!IsValidNode(src)) return kInvalidEdge;
+  const SymbolId id = Lookup(label);
   for (EdgeId e : out_[src]) {
-    if (edges_[e].dst == dst && edges_[e].label == label) return e;
+    if (edges_[e].dst == dst && edges_[e].label == id) return e;
   }
   return kInvalidEdge;
 }

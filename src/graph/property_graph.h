@@ -4,9 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <ranges>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,41 +22,46 @@ using EdgeId = uint32_t;
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 inline constexpr EdgeId kInvalidEdge = std::numeric_limits<EdgeId>::max();
 
-/// Property map for a node or edge: small, string-keyed, typed values.
-using PropertyMap = std::unordered_map<std::string, PropertyValue>;
-
 /// A directed property graph with labelled nodes and edges.
 ///
 /// Nodes and edges are addressed by dense integer ids assigned at insertion;
 /// edges may be soft-deleted (RemoveEdge) — iteration skips removed edges,
 /// ids of removed edges are never reused.
+///
+/// Labels and property keys are interned in one symbol table per graph;
+/// each element keeps its properties in one flat vector, in first-insertion
+/// order (see DESIGN.md section 4, "The property-graph store"). Const
+/// methods never write, so concurrent readers need no lock.
 class PropertyGraph {
+ private:
+  using SymbolId = uint32_t;
+  struct Property {
+    SymbolId key = 0;
+    PropertyValue value;
+  };
+
+  /// A view of `props` as (key name, value) pairs.
+  auto Named(const std::vector<Property>& props) const {
+    return std::views::transform(props, [this](const Property& p) {
+      return std::pair<const std::string&, const PropertyValue&>(
+          symbols_[p.key], p.value);
+    });
+  }
+
  public:
-  struct Node {
-    std::string label;
-    PropertyMap properties;
-  };
-
-  struct Edge {
-    NodeId src = kInvalidNode;
-    NodeId dst = kInvalidNode;
-    std::string label;
-    PropertyMap properties;
-    bool removed = false;
-  };
-
   PropertyGraph() = default;
 
   // --- construction -------------------------------------------------------
 
   /// Adds a node with the given label; returns its id.
-  NodeId AddNode(std::string label);
+  NodeId AddNode(const std::string& label);
 
   /// Adds a directed edge src -> dst; returns its id, or InvalidArgument if
   /// either endpoint does not exist.
-  Result<EdgeId> AddEdge(NodeId src, NodeId dst, std::string label);
+  Result<EdgeId> AddEdge(NodeId src, NodeId dst, const std::string& label);
 
-  /// Soft-deletes an edge; its id becomes invalid for lookups.
+  /// Soft-deletes an edge; its id becomes invalid for lookups. Its label
+  /// and properties stay readable.
   Status RemoveEdge(EdgeId e);
 
   /// Pre-allocates internal storage for n nodes / m edges.
@@ -61,22 +69,30 @@ class PropertyGraph {
 
   // --- properties ---------------------------------------------------------
 
+  /// Sets or overwrites a property; an overwritten key keeps its position.
   void SetNodeProperty(NodeId n, const std::string& key, PropertyValue value);
   void SetEdgeProperty(EdgeId e, const std::string& key, PropertyValue value);
 
   /// Returns the property value, or a null PropertyValue if absent.
-  const PropertyValue& GetNodeProperty(NodeId n, const std::string& key) const;
-  const PropertyValue& GetEdgeProperty(EdgeId e, const std::string& key) const;
-
-  bool HasNodeProperty(NodeId n, const std::string& key) const;
-  bool HasEdgeProperty(EdgeId e, const std::string& key) const;
-
-  const PropertyMap& node_properties(NodeId n) const {
-    return nodes_[n].properties;
+  const PropertyValue& GetNodeProperty(NodeId n, const std::string& key) const {
+    return Find(nodes_[n].properties, key);
   }
-  const PropertyMap& edge_properties(EdgeId e) const {
-    return edges_[e].properties;
+  const PropertyValue& GetEdgeProperty(EdgeId e, const std::string& key) const {
+    return Find(edges_[e].properties, key);
   }
+
+  bool HasNodeProperty(NodeId n, const std::string& key) const {
+    return &GetNodeProperty(n, key) != &kNullValue;
+  }
+  bool HasEdgeProperty(EdgeId e, const std::string& key) const {
+    return &GetEdgeProperty(e, key) != &kNullValue;
+  }
+
+  /// Read-only (key, value) range over one element's properties, in the
+  /// order their keys were first set. It reads the graph in place, so adding
+  /// an element or setting a property of this one invalidates it.
+  auto node_properties(NodeId n) const { return Named(nodes_[n].properties); }
+  auto edge_properties(EdgeId e) const { return Named(edges_[e].properties); }
 
   // --- topology -----------------------------------------------------------
 
@@ -91,8 +107,13 @@ class PropertyGraph {
     return e < edges_.size() && !edges_[e].removed;
   }
 
-  const std::string& node_label(NodeId n) const { return nodes_[n].label; }
-  const std::string& edge_label(EdgeId e) const { return edges_[e].label; }
+  /// The reference stays valid for the graph's lifetime, across inserts.
+  const std::string& node_label(NodeId n) const {
+    return symbols_[nodes_[n].label];
+  }
+  const std::string& edge_label(EdgeId e) const {
+    return symbols_[edges_[e].label];
+  }
   NodeId edge_src(EdgeId e) const { return edges_[e].src; }
   NodeId edge_dst(EdgeId e) const { return edges_[e].dst; }
 
@@ -119,6 +140,34 @@ class PropertyGraph {
   EdgeId FindEdge(NodeId src, NodeId dst, const std::string& label) const;
 
  private:
+  static constexpr SymbolId kNoSymbol = std::numeric_limits<SymbolId>::max();
+
+  struct Node {
+    SymbolId label = kNoSymbol;
+    std::vector<Property> properties;
+  };
+  struct Edge {
+    NodeId src = kInvalidNode;
+    NodeId dst = kInvalidNode;
+    SymbolId label = kNoSymbol;
+    bool removed = false;
+    std::vector<Property> properties;
+  };
+
+  /// Id of `name`, adding it to the symbol table if new.
+  SymbolId Intern(const std::string& name);
+  /// Id of `name`, or kNoSymbol, which no label or key carries, so a scan
+  /// for it finds nothing without a special case. Never adds.
+  SymbolId Lookup(const std::string& name) const;
+  static void Set(std::vector<Property>* props, SymbolId key,
+                  PropertyValue value);
+  /// The value stored under `key`, or kNullValue itself when there is none.
+  const PropertyValue& Find(const std::vector<Property>& props,
+                            const std::string& key) const;
+
+  // A deque never moves its elements, so label references stay valid.
+  std::deque<std::string> symbols_;
+  std::unordered_map<std::string, SymbolId> symbol_ids_;
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_;

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "graph/graph_algorithms.h"
@@ -118,6 +121,132 @@ TEST(PropertyGraphTest, FindEdgeAndLabels) {
   EXPECT_EQ(g.FindEdge(a, b, "Controls"), kInvalidEdge);
   EXPECT_EQ(g.FindEdge(b, a, "Owns"), kInvalidEdge);
   EXPECT_EQ(g.NodesWithLabel("Person"), std::vector<NodeId>{a});
+}
+
+using Props = std::vector<std::pair<std::string, PropertyValue>>;
+
+Props NodeProps(const PropertyGraph& g, NodeId n) {
+  Props out;
+  for (const auto& [k, v] : g.node_properties(n)) out.emplace_back(k, v);
+  return out;
+}
+
+TEST(PropertyGraphTest, OverwritingAKeyKeepsOneEntry) {
+  PropertyGraph g;
+  NodeId a = g.AddNode("N");
+  g.SetNodeProperty(a, "k", int64_t{1});
+  g.SetNodeProperty(a, "k", "two");
+  EXPECT_EQ(NodeProps(g, a), (Props{{"k", "two"}}));
+  EXPECT_EQ(g.GetNodeProperty(a, "k").AsString(), "two");
+}
+
+TEST(PropertyGraphTest, IterationIsInFirstInsertionOrderAndYieldsEachKeyOnce) {
+  PropertyGraph g;
+  NodeId a = g.AddNode("N");
+  NodeId b = g.AddNode("N");
+  g.SetNodeProperty(a, "zeta", int64_t{1});
+  g.SetNodeProperty(a, "alpha", 2.5);
+  g.SetNodeProperty(a, "mu", true);
+  g.SetNodeProperty(a, "alpha", 3.5);  // overwrite keeps its position
+  // Another element's order is its own.
+  g.SetNodeProperty(b, "mu", false);
+  g.SetNodeProperty(b, "zeta", int64_t{9});
+  EXPECT_EQ(NodeProps(g, a),
+            (Props{{"zeta", int64_t{1}}, {"alpha", 3.5}, {"mu", true}}));
+  EXPECT_EQ(NodeProps(g, b), (Props{{"mu", false}, {"zeta", int64_t{9}}}));
+
+  EdgeId e = g.AddEdge(a, b, "E").value();
+  g.SetEdgeProperty(e, "w", 0.5);
+  g.SetEdgeProperty(e, "right", "usufruct");
+  Props edge_props;
+  for (const auto& [k, v] : g.edge_properties(e)) edge_props.emplace_back(k, v);
+  EXPECT_EQ(edge_props, (Props{{"w", 0.5}, {"right", "usufruct"}}));
+}
+
+TEST(PropertyGraphTest, NeverSetKeyReadsNullAndFalse) {
+  PropertyGraph g;
+  NodeId a = g.AddNode("N"), b = g.AddNode("N");
+  EdgeId e = g.AddEdge(a, b, "E").value();
+  g.SetNodeProperty(b, "name", "acme");  // "name" is known, but not on a
+  g.SetEdgeProperty(e, "w", 1.0);
+  EXPECT_TRUE(g.GetNodeProperty(a, "name").is_null());
+  EXPECT_FALSE(g.HasNodeProperty(a, "name"));
+  EXPECT_TRUE(g.GetNodeProperty(a, "never").is_null());
+  EXPECT_FALSE(g.HasNodeProperty(a, "never"));
+  EXPECT_TRUE(g.GetEdgeProperty(e, "name").is_null());
+  EXPECT_FALSE(g.HasEdgeProperty(e, "never"));
+  EXPECT_TRUE(NodeProps(g, a).empty());
+  // A key set to null is present, though it reads null.
+  g.SetNodeProperty(a, "blank", PropertyValue());
+  EXPECT_TRUE(g.HasNodeProperty(a, "blank"));
+  EXPECT_TRUE(g.GetNodeProperty(a, "blank").is_null());
+}
+
+TEST(PropertyGraphTest, UnknownLabelFindsNothing) {
+  PropertyGraph g;
+  NodeId a = g.AddNode("Person"), b = g.AddNode("Company");
+  g.AddEdge(a, b, "Owns").value();
+  g.SetNodeProperty(a, "name", "x");
+  EXPECT_EQ(g.FindEdge(a, b, "Unknown"), kInvalidEdge);
+  EXPECT_TRUE(g.NodesWithLabel("Unknown").empty());
+  // A property key is a known name, but no element carries it as a label.
+  EXPECT_EQ(g.FindEdge(a, b, "name"), kInvalidEdge);
+  EXPECT_TRUE(g.NodesWithLabel("name").empty());
+  EXPECT_NE(g.FindEdge(a, b, "Owns"), kInvalidEdge);
+}
+
+TEST(PropertyGraphTest, LabelReferenceSurvivesInserts) {
+  PropertyGraph g;
+  NodeId a = g.AddNode("Person");
+  const std::string& label = g.node_label(a);
+  for (int i = 0; i < 10000; ++i) g.AddNode("L" + std::to_string(i));
+  EXPECT_EQ(label, "Person");
+  EXPECT_EQ(&label, &g.node_label(a));
+  EXPECT_EQ(g.node_label(10000), "L9999");
+}
+
+TEST(PropertyGraphTest, CopyIsDeep) {
+  PropertyGraph g;
+  NodeId a = g.AddNode("Person"), b = g.AddNode("Company");
+  EdgeId e = g.AddEdge(a, b, "Owns").value();
+  g.SetNodeProperty(a, "name", "acme");
+  g.SetEdgeProperty(e, "w", 0.4);
+  const PropertyGraph copy = g;
+
+  g.SetNodeProperty(a, "name", "changed");
+  g.SetNodeProperty(a, "extra", int64_t{1});
+  g.SetEdgeProperty(e, "w", 0.9);
+  NodeId c = g.AddNode("Fresh");
+  g.AddEdge(c, a, "Owns").value();
+  ASSERT_TRUE(g.RemoveEdge(e).ok());
+
+  EXPECT_EQ(copy.node_count(), 2u);
+  EXPECT_EQ(copy.edge_count(), 1u);
+  EXPECT_TRUE(copy.IsValidEdge(e));
+  EXPECT_EQ(NodeProps(copy, a), (Props{{"name", "acme"}}));
+  EXPECT_EQ(copy.GetEdgeProperty(e, "w").AsDouble(), 0.4);
+  EXPECT_TRUE(copy.NodesWithLabel("Fresh").empty());
+  EXPECT_EQ(copy.node_label(a), "Person");
+  EXPECT_EQ(g.GetNodeProperty(a, "name").AsString(), "changed");
+}
+
+TEST(PropertyGraphTest, RemovedEdgeKeepsItsPropertiesReadable) {
+  PropertyGraph g;
+  NodeId a = g.AddNode("N"), b = g.AddNode("N");
+  EdgeId e = g.AddEdge(a, b, "Shareholding").value();
+  g.SetEdgeProperty(e, "w", 0.3);
+  ASSERT_TRUE(g.RemoveEdge(e).ok());
+  EXPECT_FALSE(g.IsValidEdge(e));
+  EXPECT_EQ(g.edge_label(e), "Shareholding");
+  EXPECT_TRUE(g.HasEdgeProperty(e, "w"));
+  EXPECT_EQ(g.GetEdgeProperty(e, "w").AsDouble(), 0.3);
+  size_t seen = 0;
+  for (const auto& [k, v] : g.edge_properties(e)) {
+    EXPECT_EQ(k, "w");
+    EXPECT_EQ(v.AsDouble(), 0.3);
+    ++seen;
+  }
+  EXPECT_EQ(seen, 1u);
 }
 
 // ---- algorithms --------------------------------------------------------------

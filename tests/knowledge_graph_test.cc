@@ -20,26 +20,10 @@ namespace {
 
 using ::vadalink::testing::Figure1;
 
-void CopyGraph(const graph::PropertyGraph& src, graph::PropertyGraph* dst) {
-  for (graph::NodeId n = 0; n < src.node_count(); ++n) {
-    graph::NodeId m = dst->AddNode(src.node_label(n));
-    for (const auto& [k, v] : src.node_properties(n)) {
-      dst->SetNodeProperty(m, k, v);
-    }
-  }
-  src.ForEachEdge([&](graph::EdgeId e) {
-    auto f = dst->AddEdge(src.edge_src(e), src.edge_dst(e),
-                          src.edge_label(e));
-    for (const auto& [k, v] : src.edge_properties(e)) {
-      dst->SetEdgeProperty(f.value(), k, v);
-    }
-  });
-}
-
 TEST(KnowledgeGraphTest, ReasonMaterialisesControlEdges) {
   auto fixture = Figure1();
   KnowledgeGraph kg;
-  CopyGraph(fixture.graph(), kg.mutable_graph());
+  *kg.mutable_graph() = fixture.graph();
   ASSERT_TRUE(kg.AddRules(ControlProgram()).ok());
   EXPECT_EQ(kg.rule_count(), 4u);
 
@@ -59,7 +43,7 @@ TEST(KnowledgeGraphTest, ReasonMaterialisesControlEdges) {
 TEST(KnowledgeGraphTest, ExplainDerivedFact) {
   auto fixture = Figure1();
   KnowledgeGraph kg;
-  CopyGraph(fixture.graph(), kg.mutable_graph());
+  *kg.mutable_graph() = fixture.graph();
   ASSERT_TRUE(kg.AddRules(ControlProgram()).ok());
   ASSERT_TRUE(kg.Reason().ok());
   std::string why =
@@ -107,7 +91,7 @@ TEST(KnowledgeGraphTest, ReReasonSeesGraphMutations) {
   // round become extensional facts of the next.
   auto fixture = Figure1();
   KnowledgeGraph kg;
-  CopyGraph(fixture.graph(), kg.mutable_graph());
+  *kg.mutable_graph() = fixture.graph();
   ASSERT_TRUE(kg.AddRules(ControlProgram()).ok());
   // A rule over the generic edge encoding, so the rules read what the
   // mutation below adds (only mentioned predicates are extracted).

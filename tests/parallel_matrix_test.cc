@@ -34,21 +34,6 @@ std::vector<Edge> EdgeList(const graph::PropertyGraph& g) {
   return out;
 }
 
-void CopyGraph(const graph::PropertyGraph& src, graph::PropertyGraph* dst) {
-  for (graph::NodeId n = 0; n < src.node_count(); ++n) {
-    graph::NodeId m = dst->AddNode(src.node_label(n));
-    for (const auto& [k, v] : src.node_properties(n)) {
-      dst->SetNodeProperty(m, k, v);
-    }
-  }
-  src.ForEachEdge([&](graph::EdgeId e) {
-    auto f = dst->AddEdge(src.edge_src(e), src.edge_dst(e), src.edge_label(e));
-    for (const auto& [k, v] : src.edge_properties(e)) {
-      dst->SetEdgeProperty(f.value(), k, v);
-    }
-  });
-}
-
 graph::PropertyGraph SmallRegister(uint64_t seed = 7) {
   gen::RegisterConfig cfg;
   cfg.persons = 60;
@@ -289,7 +274,7 @@ TEST(ParallelCancellationTest, ReasonSurfacesBudgetTripUnderThreads) {
   ParallelOptions popts;
   popts.threads = 8;
   kg.set_parallel(popts);
-  CopyGraph(fixture.graph(), kg.mutable_graph());
+  *kg.mutable_graph() = fixture.graph();
   ASSERT_TRUE(kg.AddRules(core::ControlProgram()).ok());
   RunContext ctx;
   ctx.set_work_budget(2);
@@ -304,7 +289,7 @@ TEST(ParallelCancellationTest, ReasonHonoursPreCancelledContext) {
   ParallelOptions popts;
   popts.threads = 4;
   kg.set_parallel(popts);
-  CopyGraph(fixture.graph(), kg.mutable_graph());
+  *kg.mutable_graph() = fixture.graph();
   ASSERT_TRUE(kg.AddRules(core::ControlProgram()).ok());
   RunContext ctx;
   ctx.RequestCancel();
