@@ -1,6 +1,6 @@
 // Speedup vs thread count for the four parallelised hot paths: node2vec
 // walk generation, hogwild skip-gram training, k-means assignment,
-// per-block candidate-pair scoring, and the engine's delta joins.
+// per-block candidate-pair scoring, and the engine's rule matching.
 //
 // Emits a JSON document (stdout, one line) mapping each path to seconds
 // and speedup per thread count, e.g.

@@ -6,9 +6,14 @@
 //
 //  * Chunk boundaries depend only on (n, grain) — never on the thread
 //    count — so a stage whose per-chunk work is deterministic produces
-//    identical output at any threads >= 2. threads = 1 is handled one
-//    level up: call sites keep their original sequential code path, which
-//    stays byte-identical to the pre-parallel implementation.
+//    identical output at any threads >= 2. Most call sites handle
+//    threads = 1 one level up, keeping their original sequential loop,
+//    which stays byte-identical to the pre-parallel implementation. The
+//    datalog engine has no such second loop: it runs the same chunks at
+//    every thread count (inline on a null or 1-thread pool) and sizes
+//    them by the thread count, which is safe because its chunks only read
+//    and their matches commit in chunk order, so the result never depends
+//    on the chunking (datalog/engine.h).
 //  * Scheduling is dynamic (workers claim chunks from a shared ticket),
 //    so skewed chunk costs (e.g. blocks of wildly different sizes) load-
 //    balance without static partitioning.

@@ -64,10 +64,10 @@ class KnowledgeGraph {
   /// Registers an external '#function' available to the rules.
   void RegisterFunction(std::string name, datalog::ExternalFn fn);
 
-  /// Concurrency for Reason(): eligible rules evaluate their delta joins
-  /// over a pool of this many threads (see EngineOptions::pool; the final
-  /// fact set is identical at every thread count). threads = 1 (default)
-  /// keeps the sequential engine.
+  /// Concurrency for Reason(): rules match over a pool of this many
+  /// threads (see EngineOptions::pool; facts and engine counters are
+  /// identical at every thread count). threads = 1 (default) matches on
+  /// the calling thread.
   void set_parallel(ParallelOptions parallel) {
     parallel_ = std::move(parallel);
   }

@@ -27,8 +27,9 @@ namespace vadalink::core {
 struct PipelineOptions {
   /// Concurrency, configured once. Applied to the augmentation pipeline
   /// (walks, skip-gram, k-means, blocking, pairwise scoring) and to the
-  /// reasoning engine's delta joins alike. threads = 1 (default) keeps
-  /// every stage on its sequential legacy path.
+  /// reasoning engine's rule matching alike. threads = 1 (default) keeps
+  /// every augmentation stage on its sequential legacy path; the engine
+  /// commits the same facts at every thread count.
   ParallelOptions parallel;
 
   /// Augmentation (Algorithm 1) knobs, including the embedding and

@@ -41,8 +41,8 @@ analysis::CostReport ComputeStaticCost(const Database* db,
 }
 
 /// True if the expression tree contains a '#function' call (calls may
-/// intern symbols or invent Skolem terms, so they disqualify a rule from
-/// the parallel match phase).
+/// intern symbols or invent Skolem terms, so a rule whose match phase
+/// makes one matches on the calling thread).
 bool HasCall(const Expr& e) {
   if (e.op == Expr::Op::kCall) return true;
   for (const Expr& c : e.children) {
@@ -50,6 +50,72 @@ bool HasCall(const Expr& e) {
   }
   return false;
 }
+
+/// True if every variable `e` reads (an aggregate's contributors too) is
+/// bound.
+bool ExprReady(const Expr& e, const std::vector<bool>& bound) {
+  std::vector<bool> used(bound.size(), false);
+  CollectExprVars(e, &used);
+  for (size_t v = 0; v < used.size(); ++v) {
+    if (used[v] && !bound[v]) return false;
+  }
+  return true;
+}
+
+/// Atoms and negated atoms in `body`.
+size_t CountRelational(const std::vector<Literal>& body) {
+  size_t n = 0;
+  for (const Literal& l : body) {
+    n += l.kind == Literal::Kind::kAtom ||
+         l.kind == Literal::Kind::kNegatedAtom;
+  }
+  return n;
+}
+
+/// When a non-atom literal may be placed, given the variables bound so
+/// far — the one readiness rule of Prepare's compiled order and
+/// BuildPlan's join order: a comparison or assignment once every
+/// variable it reads is bound, a negated atom once all of its variables
+/// are, and the aggregate only once no relational literal is left
+/// (`relational_remaining` == 0), so each contribution is a full match of
+/// the relational body. Positive atoms are never ready here; each caller
+/// places them by its own policy.
+bool FilterReady(const Literal& l, const std::vector<bool>& bound,
+                 size_t relational_remaining) {
+  switch (l.kind) {
+    case Literal::Kind::kComparison:
+      return ExprReady(l.lhs, bound) && ExprReady(l.rhs, bound);
+    case Literal::Kind::kAssignment:
+      return (!l.rhs.is_aggregate() || relational_remaining == 0) &&
+             ExprReady(l.rhs, bound);
+    case Literal::Kind::kNegatedAtom:
+      for (const Term& t : l.atom.args) {
+        if (t.is_var() && !bound[t.var]) return false;
+      }
+      return true;
+    case Literal::Kind::kAtom:
+      return false;
+  }
+  return false;
+}
+
+/// kInvalidArgument unless `rel`, which holds rows, has the arity of
+/// `atom`.
+Status CheckArity(const Relation& rel, const Atom& atom, const Rule& rule,
+                  const Catalog& cat) {
+  if (rel.arity() == atom.args.size()) return Status::OK();
+  return Status::InvalidArgument(
+      "arity mismatch for predicate '" + cat.predicates.Name(atom.predicate) +
+      "' in rule at " + rule.span.ToString());
+}
+
+/// Anchor candidates per match-phase chunk: the pool's grain when set,
+/// else an equal share of the pass per pool thread, but at least
+/// kMinChunk (a chunk must pay for its dispatch) and at most kMaxChunk
+/// (the buffer holds one wave of chunks, so this bounds the memory a pass
+/// holds beyond the database).
+constexpr size_t kMinChunk = 64;
+constexpr size_t kMaxChunk = 4096;
 
 /// Evictability analysis of the streaming chase (DESIGN.md section 13).
 ///
@@ -163,53 +229,16 @@ Status Engine::Prepare(const Program& program) {
     const size_t nvars = src.var_names.size();
     std::vector<bool> placed(src.body.size(), false);
     std::vector<bool> bound(nvars, false);
-    size_t relational_remaining = 0;
-    for (const Literal& l : src.body) {
-      if (l.kind == Literal::Kind::kAtom ||
-          l.kind == Literal::Kind::kNegatedAtom) {
-        ++relational_remaining;
-      }
-    }
-
-    auto expr_ready = [&](const Expr& e) {
-      std::vector<bool> used(nvars, false);
-      CollectExprVars(e, &used);
-      for (size_t v = 0; v < nvars; ++v) {
-        if (used[v] && !bound[v]) return false;
-      }
-      return true;
-    };
+    size_t relational_remaining = CountRelational(src.body);
 
     size_t placed_count = 0;
     while (placed_count < src.body.size()) {
       int take = -1;
-      // 1. any ready non-atom, non-aggregate literal
+      // 1. the first ready filter, negation or assignment
       for (size_t i = 0; i < src.body.size() && take < 0; ++i) {
-        if (placed[i]) continue;
-        const Literal& l = src.body[i];
-        switch (l.kind) {
-          case Literal::Kind::kComparison:
-            if (expr_ready(l.lhs) && expr_ready(l.rhs)) take = (int)i;
-            break;
-          case Literal::Kind::kAssignment:
-            if (l.rhs.is_aggregate()) {
-              if (relational_remaining == 0 && expr_ready(l.rhs)) {
-                take = (int)i;
-              }
-            } else if (expr_ready(l.rhs)) {
-              take = (int)i;
-            }
-            break;
-          case Literal::Kind::kNegatedAtom: {
-            bool ok = true;
-            for (const Term& t : l.atom.args) {
-              if (t.is_var() && !bound[t.var]) ok = false;
-            }
-            if (ok) take = (int)i;
-            break;
-          }
-          default:
-            break;
+        if (!placed[i] &&
+            FilterReady(src.body[i], bound, relational_remaining)) {
+          take = static_cast<int>(i);
         }
       }
       // 2. next positive atom in source order
@@ -297,20 +326,17 @@ Status Engine::Prepare(const Program& program) {
       VL_RETURN_NOT_OK(st);
     }
 
-    // Planner / parallel eligibility (see CompiledRule). Reordering is
-    // only legal when match enumeration order is invisible; the parallel
-    // phase additionally excludes '#function' calls (they may intern
-    // symbols) and needs an atom to anchor the fan-out on.
+    // Reordering is only legal when match enumeration order is invisible
+    // (see CompiledRule). The match phase ends at the aggregate, which
+    // BuildPlan keeps at its compiled position.
     cr.reorderable = !cr.has_agg && cr.existential_vars.empty();
-    cr.parallel_ok = cr.reorderable && !cr.positive_atoms.empty();
-    for (const Literal& l : cr.rule.body) {
-      if (!cr.parallel_ok) break;
-      if (l.kind == Literal::Kind::kComparison &&
-          (HasCall(l.lhs) || HasCall(l.rhs))) {
-        cr.parallel_ok = false;
-      }
-      if (l.kind == Literal::Kind::kAssignment && HasCall(l.rhs)) {
-        cr.parallel_ok = false;
+    const size_t match_end = cr.has_agg ? cr.agg_pos : cr.rule.body.size();
+    for (size_t i = 0; i < match_end; ++i) {
+      const Literal& l = cr.rule.body[i];
+      if ((l.kind == Literal::Kind::kComparison &&
+           (HasCall(l.lhs) || HasCall(l.rhs))) ||
+          (l.kind == Literal::Kind::kAssignment && HasCall(l.rhs))) {
+        cr.calls_in_match = true;
       }
     }
 
@@ -375,24 +401,10 @@ Engine::JoinPlan Engine::BuildPlan(const CompiledRule& cr,
 
   JoinPlan plan;
   plan.steps.reserve(body.size());
+  plan.match_end = body.size();
   std::vector<bool> bound(nvars, false);
   std::vector<bool> placed(body.size(), false);
-  size_t relational_remaining = 0;
-  for (const Literal& l : body) {
-    if (l.kind == Literal::Kind::kAtom ||
-        l.kind == Literal::Kind::kNegatedAtom) {
-      ++relational_remaining;
-    }
-  }
-
-  auto expr_ready = [&](const Expr& e) {
-    std::vector<bool> used(nvars, false);
-    CollectExprVars(e, &used);
-    for (size_t v = 0; v < nvars; ++v) {
-      if (used[v] && !bound[v]) return false;
-    }
-    return true;
-  };
+  size_t relational_remaining = CountRelational(body);
 
   // Probe column of an atom given the current bound set. kPlanned picks
   // the bound/constant column with the most distinct values (tightest
@@ -499,14 +511,6 @@ Engine::JoinPlan Engine::BuildPlan(const CompiledRule& cr,
         }
         step.args[static_cast<size_t>(step.probe_arg)].kind =
             ArgOp::Kind::kSkip;
-        // Inserts below this step only ever target the rule's head
-        // predicates; if this atom's predicate is not one of them, its
-        // index cannot move mid-iteration and the posting list may be
-        // walked in place (epoch stays put, so the debug stamp agrees).
-        step.probe_in_place = true;
-        for (const Atom& h : cr.rule.head) {
-          if (h.predicate == l.atom.predicate) step.probe_in_place = false;
-        }
       }
     } else if (l.kind == Literal::Kind::kNegatedAtom) {
       --relational_remaining;
@@ -515,6 +519,7 @@ Engine::JoinPlan Engine::BuildPlan(const CompiledRule& cr,
     } else if (l.kind == Literal::Kind::kAssignment) {
       step.target_prebound = bound[l.target_var];
       bound[l.target_var] = true;
+      if (l.rhs.is_aggregate()) plan.match_end = plan.steps.size();
       if (!plan.desc.empty()) plan.desc += " ";
       plan.desc += l.rhs.is_aggregate() ? "agg" : "let";
     } else {
@@ -564,29 +569,7 @@ Engine::JoinPlan Engine::BuildPlan(const CompiledRule& cr,
     while (progressed) {
       progressed = false;
       for (size_t i = 0; i < body.size(); ++i) {
-        if (placed[i]) continue;
-        const Literal& l = body[i];
-        bool ready = false;
-        switch (l.kind) {
-          case Literal::Kind::kComparison:
-            ready = expr_ready(l.lhs) && expr_ready(l.rhs);
-            break;
-          case Literal::Kind::kAssignment:
-            ready = l.rhs.is_aggregate()
-                        ? relational_remaining == 0 && expr_ready(l.rhs)
-                        : expr_ready(l.rhs);
-            break;
-          case Literal::Kind::kNegatedAtom: {
-            ready = true;
-            for (const Term& t : l.atom.args) {
-              if (t.is_var() && !bound[t.var]) ready = false;
-            }
-            break;
-          }
-          default:
-            break;
-        }
-        if (ready) {
+        if (!placed[i] && FilterReady(body[i], bound, relational_remaining)) {
           place(i, false);
           ++placed_count;
           progressed = true;
@@ -809,7 +792,6 @@ Status Engine::EmitHead(CompiledRule& cr, MatchCtx* ctx) {
         db_->Insert(head.predicate, tuple.data(), tuple.size()));
     if (inserted) {
       ++stats_.facts_derived;
-      ctx->inserted_any = true;
       VL_RETURN_NOT_OK(ConsumeRunWork(options_.run_ctx, 1));
       if (options_.trace_provenance) {
         const Relation* rel = db_->relation(head.predicate);
@@ -827,119 +809,85 @@ Status Engine::EmitHead(CompiledRule& cr, MatchCtx* ctx) {
   return Status::OK();
 }
 
-Status Engine::MatchFrom(
-    CompiledRule& cr, const JoinPlan& plan, size_t step,
-    const std::vector<std::pair<size_t, size_t>>& deltas, MatchCtx* ctx) {
-  if (step == plan.steps.size()) {
-    if (ctx->collect != nullptr) {
-      // Parallel collect phase: capture the match, defer every mutation
-      // (insert, stats, provenance) to the sequential commit.
-      CollectedMatch m;
-      m.premises = ctx->premises;
-      m.head_tuples.reserve(cr.rule.head.size());
-      for (const Atom& head : cr.rule.head) {
-        std::vector<Value> tuple;
-        tuple.reserve(head.args.size());
-        for (const Term& t : head.args) {
-          tuple.push_back(t.is_var() ? ctx->subst[t.var] : t.constant);
-        }
-        m.head_tuples.push_back(std::move(tuple));
-      }
-      ctx->collect->push_back(std::move(m));
-      return Status::OK();
+Status Engine::MatchRow(CompiledRule& cr, const JoinPlan& plan, size_t step,
+                        const Relation& rel, uint32_t row,
+                        const PassView& view, MatchCtx* ctx) {
+  // Boundness is static per plan position, so there is no runtime
+  // bound-set and nothing to unbind on a failed or exhausted match: stale
+  // substitution entries are always overwritten by a later bind before
+  // any read.
+  VL_RETURN_NOT_OK(CheckRun(options_.run_ctx));
+  const PlanStep& ps = plan.steps[step];
+  for (size_t a = 0; a < ps.args.size(); ++a) {
+    const ArgOp& op = ps.args[a];
+    const Value& cell = rel.at(a, row);
+    switch (op.kind) {
+      case ArgOp::Kind::kBindVar:
+        ctx->subst[op.var] = cell;
+        break;
+      case ArgOp::Kind::kCheckVar:
+        if (!(cell == ctx->subst[op.var])) return Status::OK();
+        break;
+      case ArgOp::Kind::kCheckConst:
+        if (!(cell == op.constant)) return Status::OK();
+        break;
+      case ArgOp::Kind::kSkip:
+        break;
     }
-    return EmitHead(cr, ctx);
   }
+  if (ctx->track_premises) {
+    ctx->premises.push_back({cr.rule.body[ps.lit].atom.predicate, row});
+    Status st = MatchFrom(cr, plan, step + 1, view, ctx);
+    ctx->premises.pop_back();
+    return st;
+  }
+  return MatchFrom(cr, plan, step + 1, view, ctx);
+}
+
+Status Engine::MatchFrom(CompiledRule& cr, const JoinPlan& plan, size_t step,
+                         const PassView& view, MatchCtx* ctx) {
+  if (ctx->buffering && step == plan.match_end) {
+    // Match phase: buffer the match; its commit resumes here.
+    ctx->buffered_substs.insert(ctx->buffered_substs.end(),
+                                ctx->subst.begin(), ctx->subst.end());
+    ctx->buffered_premises.insert(ctx->buffered_premises.end(),
+                                  ctx->premises.begin(),
+                                  ctx->premises.end());
+    ++ctx->buffered;
+    return Status::OK();
+  }
+  if (step == plan.steps.size()) return EmitHead(cr, ctx);
   const PlanStep& ps = plan.steps[step];
   const Literal& lit = cr.rule.body[ps.lit];
   switch (lit.kind) {
     case Literal::Kind::kAtom: {
+      const auto [lo, hi] = view[step];
+      if (lo >= hi) return Status::OK();
       // Const lookup: the non-const overload may resize the relation
-      // vector, which the parallel collect phase must never do (and the
-      // sequential path does not need).
+      // vector, which the match phase must never do.
       const Relation* rel =
           static_cast<const Database*>(db_)->relation(lit.atom.predicate);
-      if (rel == nullptr || rel->size() == 0) return Status::OK();
-      if (rel->arity() != lit.atom.args.size()) {
-        return Status::InvalidArgument(
-            "arity mismatch for predicate '" +
-            db_->catalog()->predicates.Name(lit.atom.predicate) +
-            "' in rule at " + cr.rule.span.ToString());
-      }
-      size_t lo = 0, hi = rel->size();
-      if (ps.is_delta) {
-        lo = deltas[lit.atom.predicate].first;
-        hi = std::min(hi, deltas[lit.atom.predicate].second);
-        if (lo >= hi) return Status::OK();
-      }
-
-      // Bind one candidate row against the atom's compiled per-column
-      // actions and recurse. Boundness is static per plan position, so
-      // there is no runtime bound-set and nothing to unbind on a failed
-      // or exhausted match: stale substitution entries are always
-      // overwritten by a later bind before any read. Cells are read
-      // column-wise before the recursive call; row ids are stable under
-      // appends, so nothing here dangles when a recursive insert
-      // reallocates a column.
-      auto try_row = [&](uint32_t idx) -> Status {
-        VL_RETURN_NOT_OK(CheckRun(options_.run_ctx));
-        for (size_t a = 0; a < ps.args.size(); ++a) {
-          const ArgOp& op = ps.args[a];
-          const Value& cell = rel->at(a, idx);
-          switch (op.kind) {
-            case ArgOp::Kind::kBindVar:
-              ctx->subst[op.var] = cell;
-              break;
-            case ArgOp::Kind::kCheckVar:
-              if (!(cell == ctx->subst[op.var])) return Status::OK();
-              break;
-            case ArgOp::Kind::kCheckConst:
-              if (!(cell == op.constant)) return Status::OK();
-              break;
-            case ArgOp::Kind::kSkip:
-              break;
-          }
-        }
-        if (ctx->track_premises) {
-          ctx->premises.push_back({lit.atom.predicate, idx});
-          Status st = MatchFrom(cr, plan, step + 1, deltas, ctx);
-          ctx->premises.pop_back();
-          return st;
-        }
-        return MatchFrom(cr, plan, step + 1, deltas, ctx);
-      };
-
+      VL_RETURN_NOT_OK(CheckArity(*rel, lit.atom, cr.rule, *db_->catalog()));
       if (ps.probe_arg >= 0) {
         const Value& pv =
             ps.probe_is_var ? ctx->subst[ps.probe_var] : ps.probe_const;
         PostingView hits = rel->Probe(static_cast<size_t>(ps.probe_arg), pv);
         ++ctx->probes;
-        if (hits.empty()) return Status::OK();
         const uint32_t* b = hits.begin();
         const uint32_t* e = hits.end();
         if (lo > 0 || hi < rel->size()) {
-          // Posting lists are ascending row ids; slice the delta window.
+          // Posting lists are ascending row ids; slice the pass's window.
           b = std::lower_bound(b, e, static_cast<uint32_t>(lo));
           e = std::lower_bound(b, e, static_cast<uint32_t>(hi));
         }
-        if (ctx->collect != nullptr || ps.probe_in_place) {
-          // Read-only phase, or a predicate no insert below can touch:
-          // iterate the posting list in place.
-          for (const uint32_t* p = b; p != e; ++p) {
-            VL_RETURN_NOT_OK(try_row(*p));
-          }
-        } else {
-          // Inserts deeper in the recursion can extend the index and move
-          // the posting list; run over a copied snapshot (per-step scratch,
-          // no steady-state allocation).
-          std::vector<uint32_t>& cands = ctx->cand[step];
-          cands.assign(b, e);
-          for (uint32_t idx : cands) VL_RETURN_NOT_OK(try_row(idx));
+        // The match phase never inserts, so the list is walked in place.
+        for (const uint32_t* p = b; p != e; ++p) {
+          VL_RETURN_NOT_OK(MatchRow(cr, plan, step, *rel, *p, view, ctx));
         }
       } else {
-        // Full scan of the (delta) range; row ids are stable, no copy.
         for (size_t idx = lo; idx < hi; ++idx) {
-          VL_RETURN_NOT_OK(try_row(static_cast<uint32_t>(idx)));
+          VL_RETURN_NOT_OK(MatchRow(cr, plan, step, *rel,
+                                    static_cast<uint32_t>(idx), view, ctx));
         }
       }
       return Status::OK();
@@ -963,9 +911,8 @@ Status Engine::MatchFrom(
       if (rel != nullptr && rel->Contains(tuple.data(), tuple.size())) {
         return Status::OK();
       }
-      return MatchFrom(cr, plan, step + 1, deltas, ctx);
+      return MatchFrom(cr, plan, step + 1, view, ctx);
     }
-
     case Literal::Kind::kComparison: {
       // Fast path for the overwhelmingly common shape: both operands are
       // plain variables or constants, compared as numbers or for
@@ -1000,12 +947,12 @@ Status Engine::MatchFrom(
         }
         if (handled) {
           if (!pass) return Status::OK();
-          return MatchFrom(cr, plan, step + 1, deltas, ctx);
+          return MatchFrom(cr, plan, step + 1, view, ctx);
         }
       }
       VL_ASSIGN_OR_RETURN(bool pass, EvalComparison(lit, cr, ctx->subst));
       if (!pass) return Status::OK();
-      return MatchFrom(cr, plan, step + 1, deltas, ctx);
+      return MatchFrom(cr, plan, step + 1, view, ctx);
     }
 
     case Literal::Kind::kAssignment: {
@@ -1023,10 +970,10 @@ Status Engine::MatchFrom(
           if (!ValuesEqualCoerced(ctx->subst[lit.target_var], v)) {
             return Status::OK();
           }
-          return MatchFrom(cr, plan, step + 1, deltas, ctx);
+          return MatchFrom(cr, plan, step + 1, view, ctx);
         }
         ctx->subst[lit.target_var] = v;
-        return MatchFrom(cr, plan, step + 1, deltas, ctx);
+        return MatchFrom(cr, plan, step + 1, view, ctx);
       }
 
       // Monotonic aggregate: consume the contribution (at most once per
@@ -1084,7 +1031,7 @@ Status Engine::MatchFrom(
       }
 
       ctx->subst[lit.target_var] = state.Current(agg.agg);
-      Status st = MatchFrom(cr, plan, step + 1, deltas, ctx);
+      Status st = MatchFrom(cr, plan, step + 1, view, ctx);
       // Note: the contribution is intentionally NOT rolled back — it was a
       // genuine match of the relational body; only post-aggregate filters
       // (e.g. thresholds) may have rejected emission this time.
@@ -1097,162 +1044,136 @@ Status Engine::MatchFrom(
 Status Engine::EvalRule(CompiledRule& cr, int delta_occurrence,
                         const std::vector<std::pair<size_t, size_t>>& deltas) {
   const JoinPlan& plan = PlanFor(cr, delta_occurrence);
-  const size_t nvars = cr.rule.var_names.size();
-  MatchCtx ctx;
-  ctx.subst.assign(nvars, Value());
-  ctx.track_premises = options_.trace_provenance;
-  ctx.cand.resize(plan.steps.size());
-  Status st = MatchFrom(cr, plan, 0, deltas, &ctx);
-  stats_.join_probes += ctx.probes;
-  return st;
-}
+  const Database* cdb = db_;
 
-Status Engine::CommitMatch(CompiledRule& cr, const CollectedMatch& match) {
-  ++stats_.body_matches;
-  VL_RETURN_NOT_OK(CheckRun(options_.run_ctx));
-  for (size_t h = 0; h < cr.rule.head.size(); ++h) {
-    const Atom& head = cr.rule.head[h];
-    VL_ASSIGN_OR_RETURN(bool inserted,
-                        db_->Insert(head.predicate, match.head_tuples[h]));
-    if (inserted) {
-      ++stats_.facts_derived;
-      VL_RETURN_NOT_OK(ConsumeRunWork(options_.run_ctx, 1));
-      if (options_.trace_provenance) {
-        const Relation* rel = db_->relation(head.predicate);
-        uint64_t key = (static_cast<uint64_t>(head.predicate) << 32) |
-                       static_cast<uint64_t>(rel->size() - 1);
-        provenance_.emplace(key, Derivation{cr.id, match.premises});
+  // The frozen view: every atom step reads only the rows its relation held
+  // when the pass began (the delta atom only its delta window). A pass
+  // never joins against what it derives itself, so committing after each
+  // wave commits exactly what one commit at the end would.
+  PassView view(plan.steps.size(), {0, 0});
+  for (size_t s = 0; s < plan.steps.size(); ++s) {
+    const Literal& lit = cr.rule.body[plan.steps[s].lit];
+    if (lit.kind != Literal::Kind::kAtom) continue;
+    const Relation* rel = cdb->relation(lit.atom.predicate);
+    view[s].second = rel == nullptr ? 0 : rel->size();
+    if (plan.steps[s].is_delta) {
+      view[s].first = deltas[lit.atom.predicate].first;
+      view[s].second =
+          std::min(view[s].second, deltas[lit.atom.predicate].second);
+    }
+  }
+
+  // Anchor candidates. When step 0 is an atom: its rows in the view — a
+  // row range for a scan, a copy of the posting-list slice for a probe (a
+  // commit may move the list) — each matched from step 1 on. Otherwise
+  // the pass is one candidate, matched from step 0.
+  const Relation* anchor = nullptr;
+  bool anchor_probes = false;
+  std::vector<uint32_t> slice;
+  size_t n = 1;
+  if (!plan.steps.empty() &&
+      cr.rule.body[plan.steps[0].lit].kind == Literal::Kind::kAtom) {
+    const PlanStep& ps = plan.steps[0];
+    const Atom& atom = cr.rule.body[ps.lit].atom;
+    const auto [lo, hi] = view[0];
+    if (lo >= hi) return Status::OK();
+    anchor = cdb->relation(atom.predicate);
+    VL_RETURN_NOT_OK(CheckArity(*anchor, atom, cr.rule, *db_->catalog()));
+    anchor_probes = ps.probe_arg >= 0;
+    if (anchor_probes) {
+      // No variable is bound at step 0, so the probe term is a constant.
+      assert(!ps.probe_is_var);
+      PostingView hits =
+          anchor->Probe(static_cast<size_t>(ps.probe_arg), ps.probe_const);
+      ++stats_.join_probes;
+      const uint32_t* b =
+          std::lower_bound(hits.begin(), hits.end(), static_cast<uint32_t>(lo));
+      slice.assign(b, std::lower_bound(b, hits.end(),
+                                       static_cast<uint32_t>(hi)));
+      n = slice.size();
+    } else {
+      n = hi - lo;
+    }
+    if (n == 0) return Status::OK();
+  }
+
+  // The match phase fans out over the pool unless it calls a '#function';
+  // a null or 1-thread pool, or a single chunk, runs on this thread.
+  ThreadPool* pool = cr.calls_in_match ? nullptr : options_.pool;
+  const size_t threads = pool == nullptr ? 1 : pool->thread_count();
+  const size_t share = pool != nullptr && pool->default_grain() > 0
+                           ? pool->default_grain()
+                           : (n + threads - 1) / threads;
+  const size_t grain = std::clamp(share, kMinChunk, kMaxChunk);
+  const size_t nvars = cr.rule.var_names.size();
+  const size_t atoms = cr.positive_atoms.size();
+  if (chunk_ctxs_.size() < threads) chunk_ctxs_.resize(threads);
+  for (size_t c = 0; c < threads; ++c) {
+    chunk_ctxs_[c].subst.assign(nvars, Value());
+    chunk_ctxs_[c].track_premises = options_.trace_provenance;
+    chunk_ctxs_[c].buffering = true;
+  }
+  commit_ctx_.subst.assign(nvars, Value());
+  commit_ctx_.track_premises = options_.trace_provenance;
+
+  // One wave: at most one chunk per pool thread matches, then the wave
+  // commits; the buffer never holds more than one wave.
+  for (size_t first = 0; first < n; first += threads * grain) {
+    for (const auto& [pred, arg_pos] : plan.warm_probes) {
+      const Relation* r = cdb->relation(pred);
+      if (r != nullptr) r->WarmIndex(arg_pos);
+    }
+    for (size_t c = 0; c < threads; ++c) {
+      MatchCtx& ctx = chunk_ctxs_[c];
+      ctx.buffered = 0;
+      ctx.buffered_substs.clear();
+      ctx.buffered_premises.clear();
+    }
+    // Chunks only read: Insert and cold-index Probe debug-assert until
+    // the matching EndParallelRead.
+    db_->BeginParallelRead();
+    const Status match_st = ParallelFor(
+        pool, std::min(threads * grain, n - first), grain, options_.run_ctx,
+        [&](size_t begin, size_t end, size_t chunk) {
+          MatchCtx& ctx = chunk_ctxs_[chunk];
+          for (size_t i = first + begin; i < first + end; ++i) {
+            if (anchor == nullptr) {
+              VL_RETURN_NOT_OK(MatchFrom(cr, plan, 0, view, &ctx));
+            } else {
+              const uint32_t row = anchor_probes
+                                       ? slice[i]
+                                       : static_cast<uint32_t>(view[0].first + i);
+              VL_RETURN_NOT_OK(
+                  MatchRow(cr, plan, 0, *anchor, row, view, &ctx));
+            }
+          }
+          return Status::OK();
+        });
+    db_->EndParallelRead();
+
+    // Commit in chunk order, which is the order one thread matches in.
+    // Chunks matched before a governor trip still commit, as the facts a
+    // chase derived before the trip stay.
+    Status commit_st = Status::OK();
+    for (size_t c = 0; c < threads; ++c) {
+      MatchCtx& chunk = chunk_ctxs_[c];
+      stats_.join_probes += chunk.probes;
+      chunk.probes = 0;
+      for (size_t m = 0; m < chunk.buffered && commit_st.ok(); ++m) {
+        std::copy_n(chunk.buffered_substs.begin() + m * nvars, nvars,
+                    commit_ctx_.subst.begin());
+        if (commit_ctx_.track_premises) {
+          commit_ctx_.premises.assign(
+              chunk.buffered_premises.begin() + m * atoms,
+              chunk.buffered_premises.begin() + (m + 1) * atoms);
+        }
+        commit_st = MatchFrom(cr, plan, plan.match_end, view, &commit_ctx_);
       }
     }
-  }
-  if (db_->TotalFacts() > options_.max_facts) {
-    return Status::ResourceExhausted("fact limit exceeded (" +
-                                     std::to_string(options_.max_facts) +
-                                     "); chase aborted");
+    VL_RETURN_NOT_OK(match_st);
+    VL_RETURN_NOT_OK(commit_st);
   }
   return Status::OK();
-}
-
-Status Engine::ParallelEvalRule(
-    CompiledRule& cr, int delta_occurrence,
-    const std::vector<std::pair<size_t, size_t>>& deltas) {
-  const JoinPlan& plan = PlanFor(cr, delta_occurrence);
-  const Database* cdb = static_cast<const Database*>(db_);
-  // Warm every index the workers will probe; from here to the commit loop
-  // the database is only read (enforced by the parallel-read guard below).
-  for (const auto& [pred, arg_pos] : plan.warm_probes) {
-    const Relation* r = cdb->relation(pred);
-    if (r != nullptr) r->WarmIndex(arg_pos);
-  }
-
-  // Anchor atom (plan step 0, guaranteed an atom by parallel_ok):
-  // enumerate its candidates exactly like MatchFrom would, then fan the
-  // list out in chunks.
-  const PlanStep& anchor = plan.steps[0];
-  const Literal& lit = cr.rule.body[anchor.lit];
-  const Relation* rel = cdb->relation(lit.atom.predicate);
-  if (rel == nullptr || rel->size() == 0) return Status::OK();
-  if (rel->arity() != lit.atom.args.size()) {
-    return Status::InvalidArgument(
-        "arity mismatch for predicate '" +
-        db_->catalog()->predicates.Name(lit.atom.predicate) +
-        "' in rule at " + cr.rule.span.ToString());
-  }
-  size_t lo = 0, hi = rel->size();
-  if (anchor.is_delta) {
-    lo = deltas[lit.atom.predicate].first;
-    hi = std::min(hi, deltas[lit.atom.predicate].second);
-    if (lo >= hi) return Status::OK();
-  }
-  uint64_t anchor_probes = 0;
-  std::vector<uint32_t> candidates;
-  if (anchor.probe_arg >= 0) {
-    // No variable is bound at depth 0, so the probe term is a constant.
-    assert(!anchor.probe_is_var);
-    PostingView hits =
-        rel->Probe(static_cast<size_t>(anchor.probe_arg), anchor.probe_const);
-    ++anchor_probes;
-    const uint32_t* b = hits.begin();
-    const uint32_t* e = hits.end();
-    b = std::lower_bound(b, e, static_cast<uint32_t>(lo));
-    e = std::lower_bound(b, e, static_cast<uint32_t>(hi));
-    candidates.assign(b, e);
-  } else {
-    candidates.reserve(hi - lo);
-    for (size_t idx = lo; idx < hi; ++idx) {
-      candidates.push_back(static_cast<uint32_t>(idx));
-    }
-  }
-  if (candidates.empty()) return Status::OK();
-
-  const size_t nvars = cr.rule.var_names.size();
-  const size_t g = ResolveGrain(candidates.size(), 0, options_.pool);
-  const size_t num_chunks = (candidates.size() + g - 1) / g;
-  std::vector<std::vector<CollectedMatch>> chunk_matches(num_chunks);
-  std::vector<uint64_t> chunk_probes(num_chunks, 0);
-
-  // Workers only read: Insert and cold-index Probe debug-assert until the
-  // matching guard below is released.
-  db_->BeginParallelRead();
-  Status match_st = ParallelFor(
-      options_.pool, candidates.size(), 0, options_.run_ctx,
-      [&](size_t begin, size_t end, size_t chunk) {
-        MatchCtx ctx;
-        ctx.subst.assign(nvars, Value());
-        ctx.track_premises = options_.trace_provenance;
-        ctx.cand.resize(plan.steps.size());
-        ctx.collect = &chunk_matches[chunk];
-        Status st = Status::OK();
-        for (size_t i = begin; i < end && st.ok(); ++i) {
-          st = CheckRun(options_.run_ctx);
-          if (!st.ok()) break;
-          uint32_t idx = candidates[i];
-          bool match = true;
-          for (size_t a = 0; a < anchor.args.size() && match; ++a) {
-            const ArgOp& op = anchor.args[a];
-            const Value& cell = rel->at(a, idx);
-            switch (op.kind) {
-              case ArgOp::Kind::kBindVar:
-                ctx.subst[op.var] = cell;
-                break;
-              case ArgOp::Kind::kCheckVar:
-                match = cell == ctx.subst[op.var];
-                break;
-              case ArgOp::Kind::kCheckConst:
-                match = cell == op.constant;
-                break;
-              case ArgOp::Kind::kSkip:
-                break;
-            }
-          }
-          if (match) {
-            if (ctx.track_premises) {
-              ctx.premises.push_back({lit.atom.predicate, idx});
-            }
-            st = MatchFrom(cr, plan, 1, deltas, &ctx);
-            if (ctx.track_premises) ctx.premises.pop_back();
-          }
-        }
-        // Per-chunk totals are summed after the join (order-independent),
-        // so the published probe count is identical at every thread count.
-        chunk_probes[chunk] = ctx.probes;
-        return st;
-      });
-  db_->EndParallelRead();
-
-  stats_.join_probes += anchor_probes;
-  for (uint64_t p : chunk_probes) stats_.join_probes += p;
-
-  // Single-threaded merge in ascending chunk order keeps insert order —
-  // and thus fact indices, provenance and stats — deterministic. Chunks
-  // that completed before a governor trip still commit, mirroring the
-  // sequential "facts derived before the trip stay" behavior.
-  for (const auto& matches : chunk_matches) {
-    for (const CollectedMatch& m : matches) {
-      VL_RETURN_NOT_OK(CommitMatch(cr, m));
-    }
-  }
-  return match_st;
 }
 
 // ---------------------------------------------------------------------------
@@ -1274,25 +1195,12 @@ Status Engine::EvalStratum(const std::vector<uint32_t>& rule_ids,
   const size_t num_preds = db_->catalog()->predicates.size();
   auto sizes = [&]() { return RelationSizes(); };
 
-  // Parallel delta joins need a pool with real workers and an eligible
-  // rule; everything else takes the sequential evaluator. threads = 1
-  // keeps the legacy path bit-identical.
-  const bool pooled =
-      options_.pool != nullptr && options_.pool->thread_count() > 1;
-  auto eval_rule = [&](CompiledRule& cr, int delta_occurrence,
-                       const std::vector<std::pair<size_t, size_t>>& deltas) {
-    if (pooled && cr.parallel_ok) {
-      return ParallelEvalRule(cr, delta_occurrence, deltas);
-    }
-    return EvalRule(cr, delta_occurrence, deltas);
-  };
-
   std::vector<size_t> before;
   if (initial_before == nullptr) {
     // Naive first pass.
     before = sizes();
     for (uint32_t r : rule_ids) {
-      VL_RETURN_NOT_OK(eval_rule(compiled_[r], -1, {}));
+      VL_RETURN_NOT_OK(EvalRule(compiled_[r], -1, {}));
     }
   } else {
     // Incremental: the delta window opens at the previous run's sizes.
@@ -1349,7 +1257,7 @@ Status Engine::EvalStratum(const std::vector<uint32_t>& rule_ids,
         uint32_t pred =
             cr.rule.body[cr.positive_atoms[k]].atom.predicate;
         if (deltas[pred].first >= deltas[pred].second) continue;
-        VL_RETURN_NOT_OK(eval_rule(cr, static_cast<int>(k), deltas));
+        VL_RETURN_NOT_OK(EvalRule(cr, static_cast<int>(k), deltas));
       }
     }
     after = sizes();

@@ -13,6 +13,10 @@
 //    (Section 4 of the paper: "subsequent invocations yield updated values
 //    ... the final value is the minimum/maximum value").
 //  * Semi-naive deltas are index ranges over the append-only relations.
+//  * One rule evaluator: each pass of a rule matches read-only against the
+//    relations as they stood when the pass began, buffers its matches,
+//    and commits them in order (EmitHead). A thread pool only changes how
+//    many chunks of the pass match at once, never what is committed.
 #pragma once
 
 #include <functional>
@@ -58,14 +62,15 @@ struct EngineOptions {
   /// inside the match loops and charged one work unit per derived fact.
   /// nullptr = unlimited. Must outlive the engine calls that use it.
   const RunContext* run_ctx = nullptr;
-  /// Optional thread pool for per-rule delta-join evaluation (not owned;
-  /// must outlive the engine calls that use it). Eligible rules (no
-  /// aggregates, no existential variables, no function calls, leading
-  /// positive atom) match against a read-only database snapshot in
-  /// parallel and their head facts are merged single-threaded in chunk
-  /// order, preserving deterministic semi-naive semantics: the final fact
-  /// set is identical at every thread count. nullptr or a 1-thread pool
-  /// keeps the fully sequential evaluator.
+  /// Optional thread pool for the match phase of rule evaluation (not
+  /// owned; must outlive the engine calls that use it). Every pass of a
+  /// rule matches read-only against the relations as they stood when the
+  /// pass began and commits its matches single-threaded in chunk order,
+  /// so the pool only decides how many chunks match at once: the facts,
+  /// their row order and every engine counter are identical at every
+  /// thread count. A rule whose match phase calls a '#function' matches
+  /// on the calling thread (calls may intern symbols). nullptr or a
+  /// 1-thread pool matches every chunk on the calling thread.
   ThreadPool* pool = nullptr;
   /// Optional metrics sink (not owned; must outlive the engine calls that
   /// use it). Run() publishes engine.* counters from EngineStats at the
@@ -199,8 +204,8 @@ class Engine {
 
   /// Goal-directed evaluation: magic-set rewrites `program` for `goal`
   /// (datalog/magic.h) and chases the rewritten program, deriving only
-  /// goal-relevant facts — the join planner, plan cache and parallel
-  /// partitioned joins apply to the rewritten rules unchanged. Returns the
+  /// goal-relevant facts — the join planner, plan cache and chunked match
+  /// phase apply to the rewritten rules unchanged. Returns the
   /// sorted goal-matching answers plus rewrite statistics; when the
   /// rewrite is not applicable the report carries the fallback reason and
   /// the engine saturates the goal's relevance-pruned dependency cone
@@ -277,23 +282,16 @@ class Engine {
     /// order). Non-reorderable rules keep compiled literal order; the
     /// planner still picks probe columns for them.
     bool reorderable = false;
-    /// True when the rule's match phase is pure w.r.t. engine and database
-    /// state and may fan out over a thread pool: no aggregate, no
-    /// existential variables (null invention mutates the registry), no
-    /// '#function' calls (they may intern symbols), and a positive atom
-    /// to anchor the plan on and chunk over.
-    bool parallel_ok = false;
+    /// A literal of the match phase (the body before the aggregate, or
+    /// the whole body) calls a '#function'. Calls may intern symbols, so
+    /// such a rule matches its chunks on the calling thread; every other
+    /// rule, aggregates and existentials included, fans out over the
+    /// pool (aggregate state and null invention live in the commit).
+    bool calls_in_match = false;
     /// Streaming only: the rule invents nulls and its frontier admits
     /// nulls (analysis/harmful.h), so EmitHead consults the pattern memo
     /// before firing on a null-carrying frontier.
     bool memo_eligible = false;
-  };
-
-  /// One complete body match captured by the parallel collect phase:
-  /// fully evaluated head tuples (aligned with rule.head) plus premises.
-  struct CollectedMatch {
-    std::vector<std::vector<Value>> head_tuples;
-    std::vector<std::pair<uint32_t, uint32_t>> premises;
   };
 
   /// Compiled per-column action of an atom step. Boundness at every plan
@@ -318,10 +316,6 @@ class Engine {
     bool probe_is_var = false;  // probe value: subst[probe_var] or constant
     uint32_t probe_var = 0;
     Value probe_const;
-    /// Posting lists of this atom may be iterated in place even while
-    /// inserting: the probed predicate is not among the rule's head
-    /// predicates, so no insert below this step can touch its index.
-    bool probe_in_place = false;
     /// Assignments: target variable already bound by an earlier step
     /// (turns the assignment into an equality filter).
     bool target_prebound = false;
@@ -334,33 +328,46 @@ class Engine {
   /// rest of the run.
   struct JoinPlan {
     std::vector<PlanStep> steps;
+    /// First step of the commit phase: the aggregate's step, or
+    /// steps.size() for a rule without one. Prepare places the aggregate
+    /// after every relational literal, so the steps from here on are
+    /// only the aggregate, comparisons and assignments.
+    size_t match_end = 0;
     /// (predicate, argument position) the non-anchor atoms probe;
-    /// pre-warmed before the parallel match phase so Probe is a pure
+    /// warmed before each wave of the match phase so Probe is a pure
     /// read from the workers.
     std::vector<std::pair<uint32_t, uint32_t>> warm_probes;
     std::string desc;  // human-readable summary (PlanSummaries)
   };
 
-  /// Per-evaluation scratch threaded through the match recursion: the
-  /// substitution, per-depth candidate buffers (reused, so the steady
-  /// state allocates nothing) and deferred-mutation state of the
-  /// parallel collect phase.
-  struct MatchCtx {
+  /// Scratch threaded through the match recursion, one per chunk of the
+  /// match phase plus one for the commit phase; kept across passes, so
+  /// the steady state allocates nothing. Cache-line aligned: chunks write
+  /// their counters and buffers concurrently, and contexts sharing a line
+  /// kept the 4-thread match phase of close links as slow as 1 thread.
+  struct alignas(64) MatchCtx {
     /// The substitution. There is no companion bound-set: boundness is
     /// static per plan position (encoded in the ArgOps), and stale
     /// entries are always overwritten by a later bind before any read.
     std::vector<Value> subst;
     std::vector<std::pair<uint32_t, uint32_t>> premises;
     bool track_premises = false;
-    bool inserted_any = false;
-    /// Non-null in the parallel collect phase: capture matches, defer
-    /// every mutation. Also marks the database read-only, letting atom
-    /// steps iterate posting lists in place instead of copying them.
-    std::vector<CollectedMatch>* collect = nullptr;
-    std::vector<std::vector<uint32_t>> cand;     // per-step candidate ids
-    std::vector<Value> tuple_scratch;            // head/negation buffer
-    uint64_t probes = 0;                         // local, merged to stats_
+    /// Match phase: a match reaching JoinPlan::match_end is appended to
+    /// the flat buffer below (match i's substitution at stride
+    /// subst.size(), its premises at stride positive-atom count).
+    /// Commit phase (false): the match runs on to EmitHead.
+    bool buffering = false;
+    size_t buffered = 0;
+    std::vector<Value> buffered_substs;
+    std::vector<std::pair<uint32_t, uint32_t>> buffered_premises;
+    std::vector<Value> tuple_scratch;  // head/negation buffer
+    uint64_t probes = 0;               // local, merged to stats_
   };
+
+  /// Rows [first, second) of each plan step's relation a pass may read:
+  /// the delta window for the delta atom, otherwise every row the
+  /// relation held when the pass began (the frozen view).
+  using PassView = std::vector<std::pair<size_t, size_t>>;
 
   struct VecValueHash {
     size_t operator()(const std::vector<Value>& v) const {
@@ -411,23 +418,24 @@ class Engine {
   const JoinPlan& PlanFor(const CompiledRule& rule, int delta_occurrence);
   JoinPlan BuildPlan(const CompiledRule& rule, int delta_occurrence);
 
+  /// One pass of a rule: the anchor step's candidates are split into
+  /// chunks that match read-only (over options_.pool unless the match
+  /// phase calls a '#function') into per-chunk buffers; after each wave
+  /// of at most one chunk per pool thread, the buffered matches are
+  /// committed in chunk order. Every thread count runs this same code
+  /// and commits the same matches in the same order.
   Status EvalRule(CompiledRule& rule, int delta_occurrence,
                   const std::vector<std::pair<size_t, size_t>>& deltas);
-  /// Parallel delta join for a parallel_ok rule: chunks the plan's anchor
-  /// atom candidates over options_.pool, each chunk matching read-only
-  /// into CollectedMatch lists, then commits every match sequentially in
-  /// chunk order (insert, stats, provenance, work charge, fact limit).
-  /// Head facts surface one iteration later than with EvalRule (deferred
-  /// inserts cannot re-feed the same pass), which is sound for the
-  /// semi-naive fixpoint and leaves the final fact set identical.
-  Status ParallelEvalRule(CompiledRule& rule, int delta_occurrence,
-                          const std::vector<std::pair<size_t, size_t>>& deltas);
-  /// Sequential commit of one collected match; mirrors EmitHead sans null
-  /// invention (excluded by parallel_ok).
-  Status CommitMatch(CompiledRule& rule, const CollectedMatch& match);
   Status MatchFrom(CompiledRule& rule, const JoinPlan& plan, size_t step,
-                   const std::vector<std::pair<size_t, size_t>>& deltas,
-                   MatchCtx* ctx);
+                   const PassView& view, MatchCtx* ctx);
+  /// Binds row `row` of atom step `step` against its ArgOps and, on a
+  /// match, continues with the next step.
+  Status MatchRow(CompiledRule& rule, const JoinPlan& plan, size_t step,
+                  const Relation& rel, uint32_t row, const PassView& view,
+                  MatchCtx* ctx);
+  /// The only routine that inserts derived facts: null invention (and the
+  /// streaming pattern memo), the insert, stats, provenance, the work
+  /// charge and the fact limit.
   Status EmitHead(CompiledRule& rule, MatchCtx* ctx);
   Result<Value> Eval(const Expr& e, const CompiledRule& rule,
                      const std::vector<Value>& subst);
@@ -443,6 +451,10 @@ class Engine {
   EngineStats published_;
 
   std::vector<CompiledRule> compiled_;
+  /// Match-phase scratch (one per pool thread) and commit-phase scratch
+  /// of EvalRule, reused across passes.
+  std::vector<MatchCtx> chunk_ctxs_;
+  MatchCtx commit_ctx_;
   /// Streaming chase state (empty / unused unless options_.streaming).
   /// evictable_[p] — the evictability analysis accepted predicate p, so
   /// EvalStratum releases its exhausted delta epochs; sink_outputs_[p] —

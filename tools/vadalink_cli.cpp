@@ -335,20 +335,30 @@ int CmdReason(const Flags& flags) {
   if (query.find('(') != std::string::npos) {
     datalog::Catalog cat;
     datalog::Database db(&cat);
-    if (auto loaded = core::LoadGraphFacts(g.value(), &db); !loaded.ok()) {
-      return Fail(loaded.status());
-    }
-    auto program = datalog::ParseProgram(ss.str(), &cat);
-    if (!program.ok()) return Fail(program.status());
-    auto goal = datalog::ParseQueryGoal(query, &cat);
-    if (!goal.ok()) return Fail(goal.status());
     auto pool = MakeThreadPool(opts.parallel);
     datalog::EngineOptions eopts;
     eopts.run_ctx = governor.get();
     eopts.metrics = opts.metrics;
     eopts.pool = pool.get();
     datalog::Engine engine(&db, eopts);
-    auto report = engine.Query(*program, *goal);
+    uint32_t goal_pred = 0;
+    // Extract and chase under the spans of a saturating run (reason,
+    // reason/extract, reason/chase), so both documents validate against
+    // tools/schemas/metrics_reason.json.
+    auto run_query = [&]() -> Result<datalog::QueryReport> {
+      ScopedSpan reason_span(opts.metrics, "reason", governor.get());
+      {
+        ScopedSpan extract_span(opts.metrics, "extract", governor.get());
+        VL_RETURN_NOT_OK(core::LoadGraphFacts(g.value(), &db).status());
+      }
+      VL_ASSIGN_OR_RETURN(datalog::Program program,
+                          datalog::ParseProgram(ss.str(), &cat));
+      VL_ASSIGN_OR_RETURN(datalog::QueryGoal goal,
+                          datalog::ParseQueryGoal(query, &cat));
+      goal_pred = goal.atom.predicate;
+      return engine.Query(program, goal);
+    };
+    auto report = run_query();
     if (!report.ok()) return Fail(report.status());
     if (Status st = EmitMetrics(opts); !st.ok()) return Fail(st);
     if (report->rewritten) {
@@ -365,7 +375,7 @@ int CmdReason(const Flags& flags) {
     }
     std::printf("derived %zu facts, %zu answers\n", report->facts_derived,
                 report->answers.size());
-    const std::string& pred = cat.predicates.Name(goal->atom.predicate);
+    const std::string& pred = cat.predicates.Name(goal_pred);
     for (const auto& t : report->answers) {
       std::string line = pred + "(";
       for (size_t i = 0; i < t.size(); ++i) {
@@ -594,7 +604,7 @@ its work budget (derived facts for 'reason', compared pairs for
 'augment'). 'augment' degrades gracefully (partial results are kept and
 reported); 'reason' fails with DeadlineExceeded / ResourceExhausted.
 
---threads runs the augmentation stages / the reasoner's delta joins on a
+--threads runs the augmentation stages / the reasoner's rule matching on a
 thread pool (0 = hardware concurrency, 1 = sequential default); --grain
 sets the items per parallel chunk (0 = auto). threads=1 reproduces the
 sequential outputs byte for byte.
