@@ -1,6 +1,11 @@
-// Speedup vs thread count for the four parallelised hot paths: node2vec
+// Speedup vs thread count for the five parallelised hot paths: node2vec
 // walk generation, hogwild skip-gram training, k-means assignment,
-// per-block candidate-pair scoring, and the engine's rule matching.
+// candidate-pair scoring, and the engine's rule matching.
+//
+// Every path but skip-gram runs one chunked code path at every thread
+// count (inline on the caller at threads = 1), so each speedup compares
+// the same code with the same output; skip-gram runs sequentially at
+// threads = 1 and hogwild above it.
 //
 // Emits a JSON document (stdout, one line) mapping each path to seconds
 // and speedup per thread count, e.g.

@@ -1,19 +1,17 @@
-// Shared parallel-execution subsystem: a fixed-size thread pool with
-// chunked ParallelFor / ParallelReduce, deterministic per-chunk seeding
-// and first-class RunContext integration.
+// Shared parallel-execution subsystem: a fixed-size thread pool with one
+// chunked loop, ParallelFor, deterministic per-chunk seeding and
+// first-class RunContext integration.
 //
 // Design contract (relied on by every parallel stage in the pipeline):
 //
-//  * Chunk boundaries depend only on (n, grain) — never on the thread
-//    count — so a stage whose per-chunk work is deterministic produces
-//    identical output at any threads >= 2. Most call sites handle
-//    threads = 1 one level up, keeping their original sequential loop,
-//    which stays byte-identical to the pre-parallel implementation. The
-//    datalog engine has no such second loop: it runs the same chunks at
-//    every thread count (inline on a null or 1-thread pool) and sizes
-//    them by the thread count, which is safe because its chunks only read
-//    and their matches commit in chunk order, so the result never depends
-//    on the chunking (datalog/engine.h).
+//  * A stage has one code path: the same chunked loop runs at every
+//    thread count, inline on the caller for a null or 1-thread pool.
+//  * A stage's output depends only on its inputs and seeds, never on the
+//    thread count or the grain: chunks write disjoint per-item slots (or
+//    only read), and whatever they produce is added or committed in item
+//    order afterwards. The datalog engine sizes its chunks by the thread
+//    count, which is safe for the same reason (datalog/engine.h). Hogwild
+//    skip-gram is the one exception (embed/skipgram.h).
 //  * Scheduling is dynamic (workers claim chunks from a shared ticket),
 //    so skewed chunk costs (e.g. blocks of wildly different sizes) load-
 //    balance without static partitioning.
@@ -22,9 +20,9 @@
 //    the pool, remaining chunks are skipped after a trip, and the trip
 //    Status is returned to the caller. Among failing chunks, the error of
 //    the lowest-indexed one wins (deterministic error identity).
-//  * Stochastic stages derive one RNG per chunk via ChunkSeed(seed,
-//    stream, chunk) instead of sharing a sequential stream, which is what
-//    makes their parallel output reproducible run-to-run.
+//  * Stochastic stages draw from RNGs seeded by ChunkSeed(seed, stream,
+//    index) instead of sharing a sequential stream, which is what makes
+//    their output independent of the schedule.
 //
 // ParallelFor on a null pool (or a 1-thread pool, or a single chunk) runs
 // inline on the caller with identical chunking and Status semantics.
@@ -48,9 +46,8 @@ namespace vadalink {
 /// Concurrency knobs, configured once (CLI --threads / PipelineOptions)
 /// and flowed down to every parallel stage.
 struct ParallelOptions {
-  /// Worker threads for parallel stages. 1 (default) = the sequential
-  /// legacy path, byte-identical to the pre-parallel pipeline; 0 = one
-  /// thread per hardware core.
+  /// Worker threads for parallel stages. 1 (default) runs every stage's
+  /// chunks inline on the caller; 0 = one thread per hardware core.
   size_t threads = 1;
   /// Items per chunk for ParallelFor. 0 = automatic (n / 64, at least 1).
   /// Chunking is a pure function of (n, grain): outputs of deterministic
@@ -117,12 +114,13 @@ class ThreadPool {
 };
 
 /// Pool described by `options`, or nullptr when options resolve to one
-/// thread (the caller should then take its sequential path).
+/// thread (ParallelFor then runs every chunk inline).
 std::unique_ptr<ThreadPool> MakeThreadPool(const ParallelOptions& options);
 
-/// Deterministic per-chunk RNG seed: a pure function of (seed, stream,
-/// chunk), independent of thread count and schedule. `stream` separates
-/// uses within one stage (e.g. walk round or training epoch).
+/// Deterministic RNG seed: a pure function of (seed, stream, chunk),
+/// independent of thread count and schedule. `stream` separates uses
+/// within one stage (e.g. walk round or training epoch); `chunk` names
+/// the unit that owns the stream (a training chunk, or a walk's start).
 inline uint64_t ChunkSeed(uint64_t seed, uint64_t stream, uint64_t chunk) {
   return HashFinalize(HashCombine(HashCombine(seed, stream), chunk));
 }
@@ -138,25 +136,5 @@ size_t ResolveGrain(size_t n, size_t grain, const ThreadPool* pool);
 Status ParallelFor(ThreadPool* pool, size_t n, size_t grain,
                    const RunContext* run_ctx,
                    const std::function<Status(size_t, size_t, size_t)>& body);
-
-/// Map-reduce over [0, n): `map(begin, end, chunk, &acc)` folds a chunk
-/// into a default-constructed T, then `reduce(out, &acc)` combines the
-/// per-chunk accumulators into *out in ascending chunk order — so
-/// floating-point reductions are deterministic for a fixed grain.
-template <typename T, typename MapFn, typename ReduceFn>
-Status ParallelReduce(ThreadPool* pool, size_t n, size_t grain,
-                      const RunContext* run_ctx, T* out, const MapFn& map,
-                      const ReduceFn& reduce) {
-  if (n == 0) return Status::OK();
-  const size_t g = ResolveGrain(n, grain, pool);
-  const size_t num_chunks = (n + g - 1) / g;
-  std::vector<T> partials(num_chunks);
-  VL_RETURN_NOT_OK(ParallelFor(
-      pool, n, grain, run_ctx, [&](size_t begin, size_t end, size_t chunk) {
-        return map(begin, end, chunk, &partials[chunk]);
-      }));
-  for (size_t c = 0; c < num_chunks; ++c) reduce(out, &partials[c]);
-  return Status::OK();
-}
 
 }  // namespace vadalink

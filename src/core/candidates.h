@@ -41,12 +41,13 @@ class Candidate {
 
   /// Pairwise: decide on one pair. Default: no link.
   ///
-  /// Thread-safety contract: when VadaLink runs with ParallelOptions
-  /// threads > 1, TestPair is called concurrently from multiple worker
-  /// threads against a frozen round graph. Implementations must therefore
-  /// be read-only with respect to both `g` and their own state (the
-  /// built-in FamilyCandidate is: the classifier and the link-kind rules
-  /// are pure).
+  /// Thread-safety contract: VadaLink calls TestPair against the round's
+  /// frozen graph at every thread count (the links it returns are added
+  /// only after every block of the round has been compared), and
+  /// concurrently from its pool's workers when ParallelOptions threads >
+  /// 1. Implementations must therefore be read-only with respect to both
+  /// `g` and their own state (the built-in FamilyCandidate is: the
+  /// classifier and the link-kind rules are pure).
   virtual std::optional<PredictedLink> TestPair(const graph::PropertyGraph& g,
                                                 graph::NodeId x,
                                                 graph::NodeId y) {

@@ -40,27 +40,12 @@ Status PipelineOptions::Validate() const {
   if (ec.kmeans.k == 0) {
     return Status::InvalidArgument("embedding.kmeans.k must be >= 1");
   }
-  if (engine.max_iterations == 0) {
-    return Status::InvalidArgument("engine.max_iterations must be >= 1");
-  }
-  if (engine.max_facts == 0) {
-    return Status::InvalidArgument("engine.max_facts must be >= 1");
-  }
   return Status::OK();
 }
 
 AugmentConfig PipelineOptions::EffectiveAugment() const {
   AugmentConfig out = augment;
   out.parallel = parallel;
-  return out;
-}
-
-datalog::EngineOptions PipelineOptions::EffectiveEngine(
-    const RunContext* run_ctx, ThreadPool* pool) const {
-  datalog::EngineOptions out = engine;
-  out.run_ctx = run_ctx;
-  out.pool = pool;
-  out.metrics = metrics;
   return out;
 }
 

@@ -42,8 +42,8 @@ Result<AugmentStats> VadaLink::Augment(graph::PropertyGraph* g,
   AugmentStats stats;
   embed::EmbedClusterer clusterer(config_.embedding);
   linkage::Blocker blocker(config_.blocking);
-  // One pool for the whole run (nullptr when threads resolve to 1, which
-  // keeps every stage on its sequential legacy path).
+  // One pool for the whole run (nullptr when threads resolve to 1: every
+  // stage then runs its chunks inline).
   std::unique_ptr<ThreadPool> pool = MakeThreadPool(config_.parallel);
   WallTimer timer;
   ScopedSpan augment_span(metrics, "augment", run_ctx);
@@ -115,40 +115,22 @@ Result<AugmentStats> VadaLink::Augment(graph::PropertyGraph* g,
 
     // ---- second-level blocking (#GenerateBlocks) -------------------------
     timer.Restart();
-    // (cluster, block) -> node list
+    // (cluster, block) -> node list, each list in node order
     std::unordered_map<uint64_t, std::vector<graph::NodeId>> blocks;
     Status block_st;
     {
       ScopedSpan block_span(metrics, "block", run_ctx);
-      if (pool != nullptr && pool->thread_count() > 1) {
-        // Keys are computed over node chunks (BlockOf is pure, writes
-        // disjoint); the grouping insertion stays sequential in node order,
-        // so the map — and everything downstream — matches the sequential
-        // path exactly.
-        std::vector<uint64_t> keys(g->node_count());
-        block_st = ParallelFor(
-            pool.get(), g->node_count(), 0, run_ctx,
-            [&](size_t begin, size_t end, size_t) {
-              for (size_t n = begin; n < end; ++n) {
-                VL_RETURN_NOT_OK(CheckRun(run_ctx));
-                uint64_t block =
-                    config_.use_blocking
-                        ? blocker.BlockOf(*g, static_cast<graph::NodeId>(n))
-                        : 0;
-                keys[n] = (static_cast<uint64_t>(cluster_of[n]) << 40) ^ block;
-              }
-              return Status::OK();
-            });
-        if (block_st.ok()) {
-          for (graph::NodeId n = 0; n < g->node_count(); ++n) {
-            blocks[keys[n]].push_back(n);
-          }
-        }
-      } else {
+      std::vector<uint64_t> block_of(g->node_count(), 0);
+      if (config_.use_blocking) {
+        Result<std::vector<uint64_t>> ids =
+            blocker.BlockAll(*g, run_ctx, pool.get());
+        block_st = ids.status();
+        if (ids.ok()) block_of = std::move(ids).value();
+      }
+      if (block_st.ok()) {
         for (graph::NodeId n = 0; n < g->node_count(); ++n) {
-          if (block_st = CheckRun(run_ctx); !block_st.ok()) break;
-          uint64_t block = config_.use_blocking ? blocker.BlockOf(*g, n) : 0;
-          uint64_t key = (static_cast<uint64_t>(cluster_of[n]) << 40) ^ block;
+          uint64_t key =
+              (static_cast<uint64_t>(cluster_of[n]) << 40) ^ block_of[n];
           blocks[key].push_back(n);
         }
       }
@@ -178,68 +160,46 @@ Result<AugmentStats> VadaLink::Augment(graph::PropertyGraph* g,
     ScopedSpan cand_span(metrics, "candidates", run_ctx);
     for (const auto& candidate : candidates_) {
       if (candidate->is_pairwise()) {
-        if (pool != nullptr && pool->thread_count() > 1) {
-          // Per-block fan-out (grain 1 = one block per chunk): each chunk
-          // collects its candidate links against the frozen round graph;
-          // AddLink commits sequentially in block order, so the committed
-          // links match the sequential path (TestPair must be read-only —
-          // see Candidate's thread-safety contract).
-          std::vector<const std::vector<graph::NodeId>*> block_list;
-          block_list.reserve(blocks.size());
-          for (const auto& [key, members] : blocks) {
-            block_list.push_back(&members);
-          }
-          struct BlockOut {
-            std::vector<PredictedLink> links;
-            size_t pairs = 0;
-          };
-          std::vector<BlockOut> outs(block_list.size());
-          cand_st = ParallelFor(
-              pool.get(), block_list.size(), 1, run_ctx,
-              [&](size_t begin, size_t end, size_t) {
-                for (size_t b = begin; b < end; ++b) {
-                  const auto& members = *block_list[b];
-                  BlockOut& out = outs[b];
-                  for (size_t i = 0; i < members.size(); ++i) {
-                    for (size_t j = i + 1; j < members.size(); ++j) {
-                      VL_RETURN_NOT_OK(ConsumeRunWork(run_ctx, 1));
-                      ++out.pairs;
-                      auto link =
-                          candidate->TestPair(*g, members[i], members[j]);
-                      if (link.has_value()) out.links.push_back(*link);
-                    }
-                  }
-                }
-                return Status::OK();
-              });
-          // Blocks that completed before a trip still commit — mirroring
-          // the sequential "links added before the trip stay" behavior.
-          for (const BlockOut& out : outs) {
-            stats.pairs_compared += out.pairs;
-            pairs_accepted += out.links.size();
-            for (const PredictedLink& link : out.links) {
-              if (AddLink(g, link)) {
-                ++stats.links_added;
-                changed = true;
-              }
-            }
-          }
-        } else {
-          for (const auto& [key, members] : blocks) {
-            if (!cand_st.ok()) break;
-            for (size_t i = 0; i < members.size() && cand_st.ok(); ++i) {
-              for (size_t j = i + 1; j < members.size(); ++j) {
-                if (cand_st = ConsumeRunWork(run_ctx, 1); !cand_st.ok()) break;
-                ++stats.pairs_compared;
-                auto link = candidate->TestPair(*g, members[i], members[j]);
-                if (link.has_value()) {
-                  ++pairs_accepted;
-                  if (AddLink(g, *link)) {
-                    ++stats.links_added;
-                    changed = true;
+        // One block per chunk (grain 1): each chunk collects its links
+        // against the round's frozen graph (TestPair is read-only, see
+        // Candidate), and AddLink commits them afterwards in block order,
+        // so the committed links do not depend on the thread count.
+        std::vector<const std::vector<graph::NodeId>*> block_list;
+        block_list.reserve(blocks.size());
+        for (const auto& [key, members] : blocks) {
+          block_list.push_back(&members);
+        }
+        struct BlockOut {
+          std::vector<PredictedLink> links;
+          size_t pairs = 0;
+        };
+        std::vector<BlockOut> outs(block_list.size());
+        cand_st = ParallelFor(
+            pool.get(), block_list.size(), 1, run_ctx,
+            [&](size_t begin, size_t end, size_t) {
+              for (size_t b = begin; b < end; ++b) {
+                const auto& members = *block_list[b];
+                BlockOut& out = outs[b];
+                for (size_t i = 0; i < members.size(); ++i) {
+                  for (size_t j = i + 1; j < members.size(); ++j) {
+                    VL_RETURN_NOT_OK(ConsumeRunWork(run_ctx, 1));
+                    ++out.pairs;
+                    auto link = candidate->TestPair(*g, members[i], members[j]);
+                    if (link.has_value()) out.links.push_back(*link);
                   }
                 }
               }
+              return Status::OK();
+            });
+        // After a trip, what was compared still commits: every finished
+        // block, and a tripped block up to the pair that tripped.
+        for (const BlockOut& out : outs) {
+          stats.pairs_compared += out.pairs;
+          pairs_accepted += out.links.size();
+          for (const PredictedLink& link : out.links) {
+            if (AddLink(g, link)) {
+              ++stats.links_added;
+              changed = true;
             }
           }
         }

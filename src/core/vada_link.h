@@ -49,10 +49,10 @@ struct AugmentConfig {
   /// it degrades the round exactly like a sub-deadline expiry.
   size_t embed_work_budget = 0;
   /// Concurrency of the embedding, blocking and pairwise-candidate stages.
-  /// threads = 1 (the default) keeps the sequential legacy path and
-  /// reproduces today's byte-identical outputs; with use_embedding = false
-  /// the committed links are identical at *every* thread count (the
-  /// hogwild skip-gram stage is the only nondeterministic parallel stage).
+  /// Walks, k-means, blocking and pair scoring give the same output at
+  /// every thread count and grain. Hogwild skip-gram is the one stage
+  /// whose output depends on the thread count, so with use_embedding =
+  /// false the committed links are identical at every thread count.
   ParallelOptions parallel;
 };
 

@@ -16,14 +16,6 @@ double SqDist(const float* x, const double* c, size_t dims) {
   return s;
 }
 
-/// Per-chunk accumulator of the Lloyd assignment step; merged in ascending
-/// chunk order so the parallel reduction is deterministic.
-struct AssignAcc {
-  std::vector<size_t> counts;
-  std::vector<double> sums;
-  double inertia = 0.0;
-};
-
 }  // namespace
 
 KMeansResult KMeans(const EmbeddingMatrix& matrix, const KMeansConfig& config,
@@ -38,7 +30,6 @@ KMeansResult KMeans(const EmbeddingMatrix& matrix, const KMeansConfig& config,
   const size_t k = std::min(config.k == 0 ? 1 : config.k, n);
   res.k_effective = k;
   Rng rng(config.seed);
-  const bool parallel = pool != nullptr && pool->thread_count() > 1;
 
   // k-means++ seeding.
   std::vector<double> centroids(k * dims, 0.0);
@@ -48,31 +39,19 @@ KMeansResult KMeans(const EmbeddingMatrix& matrix, const KMeansConfig& config,
     centroids[d] = matrix.row(first)[d];
   }
   for (size_t c = 1; c < k; ++c) {
-    // Update distances to the nearest chosen centroid.
+    // Update distances to the nearest chosen centroid (disjoint per-point
+    // writes), then total them in point order. Inner loops never poll the
+    // RunContext: governor trips keep their iteration-level granularity.
     const double* last = centroids.data() + (c - 1) * dims;
-    double total = 0.0;
-    if (parallel) {
-      // min_sq writes are disjoint per point; the total is reduced in
-      // chunk order. Inner loops never poll the RunContext: governor
-      // trips keep their documented iteration-level granularity.
-      ParallelReduce<double>(
-          pool, n, 0, nullptr, &total,
-          [&](size_t begin, size_t end, size_t, double* acc) {
-            for (size_t v = begin; v < end; ++v) {
-              double d2 = SqDist(matrix.row(v), last, dims);
-              if (d2 < min_sq[v]) min_sq[v] = d2;
-              *acc += min_sq[v];
-            }
-            return Status::OK();
-          },
-          [](double* out, double* acc) { *out += *acc; });
-    } else {
-      for (size_t v = 0; v < n; ++v) {
+    ParallelFor(pool, n, 0, nullptr, [&](size_t begin, size_t end, size_t) {
+      for (size_t v = begin; v < end; ++v) {
         double d2 = SqDist(matrix.row(v), last, dims);
         if (d2 < min_sq[v]) min_sq[v] = d2;
-        total += min_sq[v];
       }
-    }
+      return Status::OK();
+    });
+    double total = 0.0;
+    for (size_t v = 0; v < n; ++v) total += min_sq[v];
     size_t chosen;
     if (total <= 0.0) {
       chosen = rng.UniformU64(n);  // all points coincide
@@ -96,8 +75,7 @@ KMeansResult KMeans(const EmbeddingMatrix& matrix, const KMeansConfig& config,
   std::vector<size_t> counts(k);
   std::vector<double> sums(k * dims);
   // Squared distance of each point to its assigned centroid, refreshed by
-  // every assignment pass (disjoint per-point writes, so the parallel
-  // path fills it identically). Feeds the empty-cluster reseed below.
+  // every assignment pass. Feeds the empty-cluster reseed below.
   std::vector<double> dists(n, 0.0);
   double prev_inertia = std::numeric_limits<double>::max();
   for (size_t iter = 0; iter < config.max_iterations; ++iter) {
@@ -106,59 +84,35 @@ KMeansResult KMeans(const EmbeddingMatrix& matrix, const KMeansConfig& config,
       break;
     }
     res.iterations = iter + 1;
+    // Assign every point to its nearest centroid (disjoint per-point
+    // writes), then add the counts, sums and inertia in point order.
+    ParallelFor(pool, n, 0, nullptr, [&](size_t begin, size_t end, size_t) {
+      for (size_t v = begin; v < end; ++v) {
+        double best = std::numeric_limits<double>::max();
+        uint32_t best_c = 0;
+        for (size_t c = 0; c < k; ++c) {
+          double d2 =
+              SqDist(matrix.row(v), centroids.data() + c * dims, dims);
+          if (d2 < best) {
+            best = d2;
+            best_c = static_cast<uint32_t>(c);
+          }
+        }
+        res.assignment[v] = best_c;
+        dists[v] = best;
+      }
+      return Status::OK();
+    });
     double inertia = 0.0;
     std::fill(counts.begin(), counts.end(), 0);
     std::fill(sums.begin(), sums.end(), 0.0);
-    auto assign_point = [&](size_t v, size_t* cnts, double* sms,
-                            double* inert) {
-      double best = std::numeric_limits<double>::max();
-      uint32_t best_c = 0;
-      for (size_t c = 0; c < k; ++c) {
-        double d2 = SqDist(matrix.row(v), centroids.data() + c * dims, dims);
-        if (d2 < best) {
-          best = d2;
-          best_c = static_cast<uint32_t>(c);
-        }
-      }
-      res.assignment[v] = best_c;
-      dists[v] = best;
-      *inert += best;
-      ++cnts[best_c];
-      double* sum = sms + best_c * dims;
+    for (size_t v = 0; v < n; ++v) {
+      const uint32_t c = res.assignment[v];
+      inertia += dists[v];
+      ++counts[c];
+      double* sum = sums.data() + c * dims;
       const float* row = matrix.row(v);
       for (size_t d = 0; d < dims; ++d) sum[d] += row[d];
-    };
-    if (parallel) {
-      AssignAcc total;
-      total.counts.assign(k, 0);
-      total.sums.assign(k * dims, 0.0);
-      ParallelReduce<AssignAcc>(
-          pool, n, 0, nullptr, &total,
-          [&](size_t begin, size_t end, size_t, AssignAcc* acc) {
-            acc->counts.assign(k, 0);
-            acc->sums.assign(k * dims, 0.0);
-            for (size_t v = begin; v < end; ++v) {
-              assign_point(v, acc->counts.data(), acc->sums.data(),
-                           &acc->inertia);
-            }
-            return Status::OK();
-          },
-          [](AssignAcc* out, AssignAcc* acc) {
-            for (size_t i = 0; i < out->counts.size(); ++i) {
-              out->counts[i] += acc->counts[i];
-            }
-            for (size_t i = 0; i < out->sums.size(); ++i) {
-              out->sums[i] += acc->sums[i];
-            }
-            out->inertia += acc->inertia;
-          });
-      counts = std::move(total.counts);
-      sums = std::move(total.sums);
-      inertia = total.inertia;
-    } else {
-      for (size_t v = 0; v < n; ++v) {
-        assign_point(v, counts.data(), sums.data(), &inertia);
-      }
     }
     // Move non-empty centroids to their means first, then re-seed each
     // empty cluster at the point farthest from its assigned centroid

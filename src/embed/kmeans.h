@@ -41,14 +41,13 @@ struct KMeansResult {
 /// Clusters the rows of `matrix`. k is capped at the number of points. An
 /// optional RunContext is polled per Lloyd iteration (one work unit each).
 ///
-/// With a multi-thread `pool`, the seeding distance pass and the Lloyd
-/// assignment step fan out over point chunks with chunk-order reduction of
-/// the partial sums — deterministic for any pool with >= 2 threads (the
-/// chunked floating-point summation order differs from the sequential
-/// path, so results can deviate from pool == nullptr within rounding;
-/// pool == nullptr keeps the legacy path byte-identical). The RunContext
-/// is still polled only between Lloyd iterations, so governor trips keep
-/// iteration granularity.
+/// The seeding distance pass and the Lloyd assignment step write each
+/// point's distance and cluster over point chunks of `pool` (inline on a
+/// null or 1-thread pool); the seeding total, cluster counts, sums and
+/// inertia are then added in point order. The result is therefore
+/// identical, bit for bit, at every thread count and grain. The
+/// RunContext is polled only between Lloyd iterations, so governor trips
+/// keep iteration granularity.
 ///
 /// `metrics` (nullable) receives embed.kmeans.iterations /
 /// embed.kmeans.reseeds counters and the embed.kmeans.inertia gauge.

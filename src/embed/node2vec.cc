@@ -99,60 +99,36 @@ std::vector<std::vector<uint32_t>> GenerateWalks(const WalkGraph& graph,
       metrics ? metrics->Counter("embed.walks.generated") : nullptr;
   MetricsHistogram* length_hist =
       metrics ? metrics->Histogram("embed.walk.length") : nullptr;
-  // Counted at the sequential merge points (not inside workers), so the
-  // totals are exact and thread-count invariant.
-  auto record_walk = [&](const std::vector<uint32_t>& w) {
-    if (walk_counter != nullptr) walk_counter->Increment();
-    if (length_hist != nullptr) length_hist->Record(w.size());
-  };
 
-  if (pool != nullptr && pool->thread_count() > 1) {
-    // Parallel path: nodes in id order, one RNG per chunk derived from
-    // (seed, round, chunk), merged in ascending chunk order — identical
-    // output for every thread count >= 2.
-    for (size_t round = 0; round < config.walks_per_node; ++round) {
-      const size_t g = ResolveGrain(n, 0, pool);
-      const size_t num_chunks = (n + g - 1) / g;
-      std::vector<std::vector<std::vector<uint32_t>>> chunk_walks(num_chunks);
-      Status st = ParallelFor(
-          pool, n, 0, run_ctx,
-          [&](size_t begin, size_t end, size_t chunk) {
-            Rng rng(ChunkSeed(config.seed, round, chunk));
-            std::vector<double> bias;
-            auto& out = chunk_walks[chunk];
-            out.reserve(end - begin);
-            for (size_t v = begin; v < end; ++v) {
-              VL_RETURN_NOT_OK(ConsumeRunWork(run_ctx, 1));
-              out.push_back(WalkFrom(graph, config,
-                                     static_cast<uint32_t>(v), rng, bias));
-            }
-            return Status::OK();
-          });
-      for (auto& cw : chunk_walks) {
-        for (auto& w : cw) {
-          record_walk(w);
-          walks.push_back(std::move(w));
-        }
-      }
-      if (!st.ok()) return walks;  // cooperative stop: partial walks
-    }
-    return walks;
-  }
-
-  Rng rng(config.seed);
   // Node visit order is shuffled per round, as in the reference
   // implementation, so early-stopping effects do not bias low node ids.
+  Rng order_rng(config.seed);
   std::vector<uint32_t> order(n);
   for (uint32_t v = 0; v < n; ++v) order[v] = v;
-
-  std::vector<double> bias;  // reused buffer
   for (size_t round = 0; round < config.walks_per_node; ++round) {
-    rng.Shuffle(&order);
-    for (uint32_t start : order) {
-      if (!ConsumeRunWork(run_ctx, 1).ok()) return walks;
-      walks.push_back(WalkFrom(graph, config, start, rng, bias));
-      record_walk(walks.back());
+    order_rng.Shuffle(&order);
+    // One slot per visit; each walk draws from its own (seed, round,
+    // start) stream, so no walk depends on how the visits are chunked.
+    std::vector<std::vector<uint32_t>> round_walks(n);
+    Status st = ParallelFor(
+        pool, n, 0, run_ctx, [&](size_t begin, size_t end, size_t) {
+          std::vector<double> bias;  // reused across the chunk's walks
+          for (size_t i = begin; i < end; ++i) {
+            VL_RETURN_NOT_OK(ConsumeRunWork(run_ctx, 1));
+            Rng rng(ChunkSeed(config.seed, round, order[i]));
+            round_walks[i] = WalkFrom(graph, config, order[i], rng, bias);
+          }
+          return Status::OK();
+        });
+    // Appended and counted in visit order, outside the workers. A slot a
+    // governor trip cut off stays empty (a walk holds at least its start).
+    for (std::vector<uint32_t>& w : round_walks) {
+      if (w.empty()) continue;
+      if (walk_counter != nullptr) walk_counter->Increment();
+      if (length_hist != nullptr) length_hist->Record(w.size());
+      walks.push_back(std::move(w));
     }
+    if (!st.ok()) return walks;  // cooperative stop: partial walks
   }
   return walks;
 }

@@ -50,16 +50,16 @@ class WalkGraph {
 /// polled between walks (one work unit each); when it trips, generation
 /// stops cooperatively and the walks produced so far are returned.
 ///
-/// With a multi-thread `pool`, each round fans out over node-id chunks,
-/// every chunk walking from its own ChunkSeed-derived RNG, and chunk
-/// results are merged in ascending chunk order — output is deterministic
-/// for any pool with >= 2 threads (but differs from the sequential
-/// shuffled-order stream; pool == nullptr keeps the legacy path
-/// byte-identical).
+/// Each of the walks_per_node rounds visits every node once, in an order
+/// shuffled by Rng(config.seed). The walk from `start` in round `r` draws
+/// from its own Rng(ChunkSeed(seed, r, start)), the visits run over chunks
+/// of `pool` (inline on a null or 1-thread pool), and the walks are
+/// appended in visit order. The output therefore depends only on the
+/// graph and the config, never on the thread count or the grain.
 ///
 /// `metrics` (nullable) receives the embed.walks.generated counter and
-/// the embed.walk.length histogram, both counted at the deterministic
-/// merge points so totals are thread-count invariant.
+/// the embed.walk.length histogram, both counted in visit order outside
+/// the workers.
 std::vector<std::vector<uint32_t>> GenerateWalks(
     const WalkGraph& graph, const WalkConfig& config,
     const RunContext* run_ctx = nullptr, ThreadPool* pool = nullptr,

@@ -1,5 +1,5 @@
 // Minimal blocking client for the serve line protocol — used by the
-// tests, the chaos harness and bench_serve_load. One outstanding request
+// tests and the chaos harness. One outstanding request
 // per client: Call() writes a line and blocks for the response line,
 // which is exactly the synchronous discipline the monotone-version
 // guarantee of DESIGN.md section 10 is stated for.

@@ -5,14 +5,22 @@
 
 #include <chrono>
 #include <memory>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/run_context.h"
+#include "company/family.h"
 #include "company/ownership.h"
 #include "core/vada_link.h"
 #include "datalog/engine.h"
 #include "datalog/parser.h"
 #include "embed/kmeans.h"
 #include "embed/node2vec.h"
+#include "gen/register_simulator.h"
+#include "linkage/bayes.h"
 #include "tests/paper_fixtures.h"
 
 namespace vadalink {
@@ -183,6 +191,74 @@ TEST(GovernorAugmentTest, PairBudgetKeepsCommittedLinks) {
   EXPECT_TRUE(stats->truncated);
   EXPECT_EQ(stats->interrupt.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(stats->rounds, 1u);
+}
+
+TEST(GovernorAugmentTest, PairBudgetTripMidBlockKeepsTheComparedPrefix) {
+  gen::RegisterConfig reg;
+  reg.persons = 40;
+  reg.companies = 10;
+  reg.seed = 3;
+  graph::PropertyGraph g = gen::GenerateRegister(reg).graph;
+
+  // Blocking and embedding off: one block of every node in id order, so
+  // the pairs are compared in (i, j) order. The reference accepts pairs
+  // with its own FamilyCandidate on the untouched graph.
+  core::FamilyCandidate family(
+      linkage::BayesLinkClassifier(company::DefaultPersonSchema()));
+  std::vector<std::pair<size_t, core::PredictedLink>> accepted;
+  size_t pair_index = 0;
+  for (graph::NodeId i = 0; i < g.node_count(); ++i) {
+    for (graph::NodeId j = i + 1; j < g.node_count(); ++j, ++pair_index) {
+      if (auto link = family.TestPair(g, i, j)) {
+        accepted.emplace_back(pair_index, *link);
+      }
+    }
+  }
+  ASSERT_GE(accepted.size(), 2u);
+  // Trip right after the middle accepted pair: accepted pairs lie on both
+  // sides of the trip, inside the one block.
+  const size_t budget = accepted[accepted.size() / 2].first + 1;
+  ASSERT_LT(budget, pair_index);
+
+  using Link = std::tuple<graph::NodeId, graph::NodeId, std::string>;
+  std::set<Link> expected;
+  for (const auto& [index, link] : accepted) {
+    if (index >= budget) break;
+    const char* label = core::LinkClassName(link.cls);
+    if (g.FindEdge(link.x, link.y, label) == graph::kInvalidEdge) {
+      expected.emplace(link.x, link.y, label);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+
+  core::AugmentConfig cfg;
+  cfg.use_embedding = false;
+  cfg.use_blocking = false;
+  auto vl = core::MakeDefaultVadaLink(cfg);
+  RunContext ctx;
+  ctx.set_work_budget(budget);  // one unit per compared pair
+  auto edge_set = [](const graph::PropertyGraph& graph) {
+    std::set<Link> out;
+    graph.ForEachEdge([&](graph::EdgeId e) {
+      out.emplace(graph.edge_src(e), graph.edge_dst(e),
+                  std::string(graph.edge_label(e)));
+    });
+    return out;
+  };
+  const std::set<Link> before = edge_set(g);
+  auto stats = vl.Augment(&g, &ctx);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(stats->truncated);
+  EXPECT_EQ(stats->interrupt.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stats->rounds, 1u);
+  EXPECT_EQ(stats->pairs_compared, budget);
+
+  std::set<Link> committed;
+  for (const Link& link : edge_set(g)) {
+    if (!before.contains(link)) committed.insert(link);
+  }
+  EXPECT_EQ(committed, expected);
+  EXPECT_EQ(stats->links_added, expected.size());
 }
 
 TEST(GovernorAugmentTest, EmbedBudgetDegradesRoundToBlockingOnly) {

@@ -1,10 +1,9 @@
-// common/parallel: the thread pool, chunked ParallelFor / ParallelReduce,
-// deterministic chunking and seeding, and RunContext propagation.
+// common/parallel: the thread pool, chunked ParallelFor, deterministic
+// chunking and seeding, and RunContext propagation.
 #include "common/parallel.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -198,50 +197,6 @@ TEST(ParallelForTest, EmptyRangeIsOk) {
                             return Status::OK();
                           });
   EXPECT_TRUE(st.ok());
-}
-
-// ---- ParallelReduce --------------------------------------------------------
-
-TEST(ParallelReduceTest, SumIsExactAndThreadCountIndependent) {
-  const size_t n = 10007;
-  auto run = [&](ThreadPool* pool) {
-    double total = 0.0;
-    Status st = ParallelReduce<double>(
-        pool, n, 64, nullptr, &total,
-        [](size_t begin, size_t end, size_t, double* acc) {
-          for (size_t i = begin; i < end; ++i) {
-            *acc += static_cast<double>(i) * 0.5;
-          }
-          return Status::OK();
-        },
-        [](double* out, double* acc) { *out += *acc; });
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    return total;
-  };
-  double sequential = run(nullptr);
-  ThreadPool pool2(2), pool8(8);
-  // Same grain => same chunk partials merged in the same order: the result
-  // is bit-identical at every thread count.
-  EXPECT_EQ(sequential, run(&pool2));
-  EXPECT_EQ(sequential, run(&pool8));
-  EXPECT_DOUBLE_EQ(sequential, 0.5 * (double(n - 1) * double(n) / 2.0));
-}
-
-TEST(ParallelReduceTest, ReducesInAscendingChunkOrder) {
-  ThreadPool pool(8);
-  std::vector<size_t> order;
-  Status st = ParallelReduce<std::vector<size_t>>(
-      &pool, 100, 9, nullptr, &order,
-      [](size_t, size_t, size_t chunk, std::vector<size_t>* acc) {
-        acc->push_back(chunk);
-        return Status::OK();
-      },
-      [](std::vector<size_t>* out, std::vector<size_t>* acc) {
-        out->insert(out->end(), acc->begin(), acc->end());
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  ASSERT_EQ(order.size(), (100u + 8u) / 9u);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
 // ---- pool stress -----------------------------------------------------------

@@ -114,16 +114,6 @@ def suite_ratio(suite, _):
                f"{streaming / full:.4f}")
 
 
-def ok_errors_le_responses(totals, _):
-    """Every ok or error reply was a response."""
-    ok, errors, responses = (totals.get(k) for k in
-                             ("ok", "errors", "responses"))
-    if all(map(is_count, (ok, errors, responses))) and \
-            ok + errors > responses:
-        yield (f"ok + errors ({ok} + {errors}) exceeds responses "
-               f"({responses})")
-
-
 INVARIANTS = {
     "cumulative_buckets": cumulative_buckets,
     "lint_counts": lint_counts,
@@ -131,8 +121,6 @@ INVARIANTS = {
     "streaming_peak_le_full": streaming_peak_le_full,
     "memo_hits_le_queries": ordered("memo_hits", "memo_queries"),
     "suite_ratio": suite_ratio,
-    "latency_monotone": ordered("p50", "p90", "p99", "max"),
-    "ok_errors_le_responses": ok_errors_le_responses,
 }
 
 

@@ -87,18 +87,6 @@ CHASE_MEMORY = {
               "streaming_peak_resident_facts": 4, "ratio": 0.5,
               "bound": 0.5, "within_bound": True}}
 
-SERVE_BENCH = {
-    "schema_version": 1,
-    "config": {"clients": 2, "requests_per_client": 5, "max_inflight": 4,
-               "queue_depth": 64, "deadline_ms": 2000},
-    "graph": {"nodes": 10, "edges": 9},
-    "totals": {"requests": 10, "responses": 10, "ok": 9, "shed": 1,
-               "stale": 0, "errors": 0, "retries": 1,
-               "transport_failures": 0},
-    "qps": 100.0, "shed_rate": 0.1, "duration_seconds": 0.1,
-    "latency_ms": {"p50": 1.0, "p90": 2.0, "p99": 2.0, "max": 3.5}}
-
-
 def put(*path_and_value):
     *path, value = path_and_value
 
@@ -247,30 +235,12 @@ CHASE_CASES = [
     ("suite ratio disagrees", put("suite", "ratio", 0.6)),
 ]
 
-T = ("totals",)
-SERVE_CASES = [
-    ("missing top-level key", drop("qps")),
-    ("schema_version mismatch", put("schema_version", 2)),
-    ("config field missing", drop("config", "clients")),
-    ("graph count negative", put("graph", "nodes", -1)),
-    ("totals count not an integer", put(*T, "retries", 1.5)),
-    ("latency field missing", drop("latency_ms", "p99")),
-    ("latency negative", put("latency_ms", "p50", -1.0)),
-    ("qps not a number", put("qps", "fast")),
-    ("duration negative", put("duration_seconds", -1)),
-    ("transport failures", put(*T, "transport_failures", 1)),
-    ("shed_rate > 1", put("shed_rate", 1.5)),
-    ("latency not monotone", put("latency_ms", "p90", 0.5)),
-    ("ok + errors > responses", put(*T, "errors", 2)),
-]
-
 SUITES = [
     ("metrics_augment", METRICS_AUGMENT, AUGMENT_CASES),
     ("metrics_reason", METRICS_REASON, REASON_CASES),
     ("lint", LINT, LINT_CASES),
     ("engine_bench", ENGINE_BENCH, ENGINE_CASES),
     ("chase_memory", CHASE_MEMORY, CHASE_CASES),
-    ("serve_bench", SERVE_BENCH, SERVE_CASES),
 ]
 
 
@@ -291,11 +261,11 @@ def main():
         good = os.path.join(tmp, "good.json")
         bad = os.path.join(tmp, "bad.json")
         with open(good, "w") as f:
-            json.dump(SERVE_BENCH, f)
+            json.dump(CHASE_MEMORY, f)
         with open(bad, "w") as f:
             f.write("{not json")
         cmd = [sys.executable, os.path.join(HERE, "check_json.py"),
-               os.path.join(HERE, "schemas", "serve_bench.json")]
+               os.path.join(HERE, "schemas", "chase_memory.json")]
         for docs, want in (([good], 0), ([good, bad], 1)):
             rc = subprocess.run(cmd + docs, capture_output=True).returncode
             if rc != want:

@@ -344,18 +344,25 @@ int CmdReason(const Flags& flags) {
     uint32_t goal_pred = 0;
     // Extract and chase under the spans of a saturating run (reason,
     // reason/extract, reason/chase), so both documents validate against
-    // tools/schemas/metrics_reason.json.
+    // tools/schemas/metrics_reason.json. Like a saturating run, the
+    // extraction loads only the mapped predicates the program mentions,
+    // plus the goal's own predicate (LoadGraphFacts ignores it when it
+    // is not a mapped one).
     auto run_query = [&]() -> Result<datalog::QueryReport> {
       ScopedSpan reason_span(opts.metrics, "reason", governor.get());
-      {
-        ScopedSpan extract_span(opts.metrics, "extract", governor.get());
-        VL_RETURN_NOT_OK(core::LoadGraphFacts(g.value(), &db).status());
-      }
       VL_ASSIGN_OR_RETURN(datalog::Program program,
                           datalog::ParseProgram(ss.str(), &cat));
       VL_ASSIGN_OR_RETURN(datalog::QueryGoal goal,
                           datalog::ParseQueryGoal(query, &cat));
       goal_pred = goal.atom.predicate;
+      {
+        ScopedSpan extract_span(opts.metrics, "extract", governor.get());
+        core::MappingOptions mapping;
+        mapping.predicates = core::MappedPredicatesUsedBy(program, cat);
+        mapping.predicates.insert(cat.predicates.Name(goal_pred));
+        VL_RETURN_NOT_OK(
+            core::LoadGraphFacts(g.value(), &db, mapping).status());
+      }
       return engine.Query(program, goal);
     };
     auto report = run_query();
@@ -605,9 +612,10 @@ its work budget (derived facts for 'reason', compared pairs for
 reported); 'reason' fails with DeadlineExceeded / ResourceExhausted.
 
 --threads runs the augmentation stages / the reasoner's rule matching on a
-thread pool (0 = hardware concurrency, 1 = sequential default); --grain
-sets the items per parallel chunk (0 = auto). threads=1 reproduces the
-sequential outputs byte for byte.
+thread pool (0 = hardware concurrency, 1 = the default, no pool); --grain
+sets the items per parallel chunk (0 = auto). Neither changes a result,
+except that 'augment' trains its skip-gram embeddings hogwild above one
+thread, so its links reproduce run to run only at --threads 1.
 
 'lint' runs the static analyzer (safety, wardedness, stratification,
 hygiene; see DESIGN.md section 9) without executing the program. Human
